@@ -7,6 +7,7 @@ generalized Gell-Mann basis.
 """
 
 from .index_algebra import (
+    IMPLICIT_BOUND,
     DimList,
     IndexPerm,
     Sigma,
@@ -59,6 +60,7 @@ __all__ = [
     "DimList",
     "Sigma",
     "IndexPerm",
+    "IMPLICIT_BOUND",
     "flatten",
     "unflatten",
     "sigma_inverse",

@@ -10,6 +10,7 @@ import numpy as np
 
 from .index_algebra import IndexPerm
 from .gellmann import SwapDecomposition
+from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError
 
 __all__ = [
     "MM_HEADER",
@@ -46,7 +47,10 @@ def write_matrix_market(m) -> str:
 
 
 def parse_matrix_market(text: str) -> np.ndarray:
-    """Inverse of :func:`write_matrix_market`; tolerates % comment lines."""
+    """Inverse of :func:`write_matrix_market`; tolerates % comment lines.
+
+    Rejects a shape past the dense bound (:class:`CapacityError`) before
+    allocating, and a coordinate given twice (``ValueError``)."""
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ValueError("missing MatrixMarket header line")
@@ -62,9 +66,14 @@ def parse_matrix_market(text: str) -> np.ndarray:
         raise ValueError(f"bad size line: {body[0]!r}") from exc
     if rows < 1 or cols < 1 or nnz < 0:
         raise ValueError(f"bad size line: {body[0]!r}")
+    if max(rows, cols) > DEFAULT_DENSE_BOUND:
+        raise CapacityError(
+            f"dense shape {rows}x{cols} exceeds dense bound {DEFAULT_DENSE_BOUND}"
+        )
     if len(body) - 1 != nnz:
         raise ValueError(f"expected {nnz} coordinate lines, found {len(body) - 1}")
     m = np.zeros((rows, cols), dtype=np.int64)
+    seen = set()
     for ln in body[1:]:
         toks = ln.split()
         if len(toks) != 3:
@@ -72,23 +81,35 @@ def parse_matrix_market(text: str) -> np.ndarray:
         r, c, v = int(toks[0]), int(toks[1]), int(toks[2])
         if not 1 <= r <= rows or not 1 <= c <= cols:
             raise ValueError(f"coordinate out of range: {ln!r}")
-        m[r - 1, c - 1] = v
+        if (r, c) in seen:
+            raise ValueError(f"duplicate coordinate: {ln!r}")
+        seen.add((r, c))
+        try:
+            m[r - 1, c - 1] = v
+        except OverflowError:
+            raise ValueError(f"value out of int64 range: {ln!r}") from None
     return m
 
 
 def write_perm(perm: IndexPerm) -> str:
-    """Two lines: the size, then the column of each row's 1."""
-    return f"{perm.n_rows}\n" + " ".join(str(c) for c in perm.col_of_row) + "\n"
+    """Two lines: the size, then the 1-based column of each row's 1."""
+    # repr of an int is its decimal text, and map(repr) skips the type call
+    # that map(str) makes per entry
+    return f"{perm.n_rows}\n" + " ".join(map(repr, (perm.index + 1).tolist())) + "\n"
 
 
 def parse_perm(text: str) -> IndexPerm:
+    """Inverse of :func:`write_perm`: a positive size N, then N columns that
+    form a permutation of 1..N."""
     toks = text.split()
     if not toks:
         raise ValueError("empty permutation text")
     n = int(toks[0])
+    if n < 1:
+        raise ValueError(f"permutation size must be positive, got {n}")
     if len(toks) - 1 != n:
         raise ValueError(f"expected {n} entries, found {len(toks) - 1}")
-    return IndexPerm(tuple(int(t) for t in toks[1:]))
+    return IndexPerm(toks[1:])
 
 
 def write_dense(m) -> str:

@@ -9,26 +9,48 @@ which is exactly the rank of the multi-index in lexicographic order.
 Reordering the factors by a permutation ``sigma`` induces a permutation of the
 linear indices {1, ..., N}; that induced permutation *is* the tensor
 permutation matrix in implicit form, stored one column index per row.
+
+:class:`IndexPerm` holds it as one read-only 0-based ``np.intp`` array, and
+:func:`induced_index_perm` builds that array by a tensor transposition:
+``arange(N)`` reshaped to the factor dimensions, its axes reordered by sigma,
+and read back in row order. The result is validated once in O(N) and cached
+by (dims, sigma), least recently used first out, up to 256 MB of index
+arrays. Orders above :data:`IMPLICIT_BOUND` raise :class:`CapacityError`
+before anything is allocated. Conversion to 1-based indices happens only at
+the API and format boundaries. The per-index :func:`flatten` and
+:func:`unflatten` stay independent of that core, so tests can check one
+against the other.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from typing import Sequence
 
 import numpy as np
 
+from .matrix_core import CapacityError
+
 __all__ = [
     "DimList",
     "Sigma",
     "IndexPerm",
+    "IMPLICIT_BOUND",
     "flatten",
     "unflatten",
     "sigma_inverse",
     "induced_index_perm",
 ]
+
+# Largest order N of an index permutation; its index array takes 8 bytes per
+# entry, 1 GiB at the bound.
+IMPLICIT_BOUND = 2**27
+
+# Total bytes of index arrays that the induced-permutation cache may hold.
+_CACHE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -162,74 +184,147 @@ def unflatten(dims: DimList, s: int) -> tuple[int, ...]:
     return _unflatten(dims.dims, s)
 
 
-@dataclass(frozen=True)
+def _validated(index: np.ndarray) -> np.ndarray:
+    """Freeze a 0-based column index after an O(N) range and scatter check."""
+    n = index.size
+    if index.ndim != 1:
+        raise ValueError(f"col_of_row must be one-dimensional, got {index.ndim}-d data")
+    if n and (index.min() < 0 or index.max() >= n):
+        raise ValueError(f"col_of_row is not a permutation of 1..{n}: entry out of range")
+    hit = np.zeros(n, dtype=bool)
+    hit[index] = True
+    if not hit.all():
+        raise ValueError(f"col_of_row is not a permutation of 1..{n}: repeated entry")
+    index.flags.writeable = False
+    return index
+
+
 class IndexPerm:
     """A permutation of {1, ..., N} in matrix form: row r carries its 1 in
     column ``col_of_row[r-1]``.
 
     Applying it to a vector v therefore yields out[r] = v[col_of_row[r]].
+    The permutation is held as one read-only 0-based ``np.intp`` array,
+    :attr:`index`; ``col_of_row`` is the same permutation as a 1-based tuple
+    of ints, built on first access. Equality and hashing are by value.
     """
 
-    col_of_row: tuple[int, ...]
+    __slots__ = ("_index", "_cols")
 
-    def __post_init__(self) -> None:
-        cols = tuple(int(c) for c in self.col_of_row)
-        object.__setattr__(self, "col_of_row", cols)
-        n = len(cols)
-        if sorted(cols) != list(range(1, n + 1)):
-            raise ValueError(f"col_of_row is not a permutation of 1..{n}")
+    def __init__(self, col_of_row: Sequence[int]) -> None:
+        try:
+            cols = np.asarray(col_of_row, dtype=np.intp)
+        except OverflowError:
+            raise ValueError("col_of_row is not a permutation: entry out of range") from None
+        self._index = _validated(cols - 1)
+        self._cols: tuple[int, ...] | None = None
+
+    @classmethod
+    def _from_index(cls, index: np.ndarray) -> "IndexPerm":
+        # ``index`` is 0-based, owned by the new permutation and frozen here
+        perm = cls.__new__(cls)
+        perm._index = _validated(index)
+        perm._cols = None
+        return perm
+
+    @property
+    def index(self) -> np.ndarray:
+        """Read-only 0-based column of each row's 1, as ``np.intp``."""
+        return self._index
+
+    @property
+    def col_of_row(self) -> tuple[int, ...]:
+        """1-based column of each row's 1."""
+        if self._cols is None:
+            self._cols = tuple((self._index + 1).tolist())
+        return self._cols
 
     @property
     def n_rows(self) -> int:
-        return len(self.col_of_row)
+        return self._index.size
 
-    def _gather_index(self) -> np.ndarray:
-        # 0-based gather index, built once per instance; the value is
-        # immutable so memoizing on self is safe
-        cached = getattr(self, "_idx0", None)
-        if cached is None:
-            cached = np.asarray(self.col_of_row, dtype=np.intp) - 1
-            object.__setattr__(self, "_idx0", cached)
-        return cached
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IndexPerm):
+            return NotImplemented
+        return np.array_equal(self._index, other._index)
+
+    def __hash__(self) -> int:
+        return hash(self._index.tobytes())
+
+    def __repr__(self) -> str:
+        return f"IndexPerm(col_of_row={self.col_of_row!r})"
+
+    def __reduce__(self):
+        return IndexPerm, (self._index + 1,)
 
     def apply(self, v):
         """Permute a vector in O(N) without materializing the matrix.
 
-        Lists and tuples come back as lists; numpy arrays come back as numpy
-        arrays (gathered, so the input is never modified).
+        Lists and tuples come back as lists of the original entries; numpy
+        arrays come back as numpy arrays (gathered, so the input is never
+        modified).
         """
         if len(v) != self.n_rows:
             raise ValueError(f"vector length {len(v)} does not match size {self.n_rows}")
         if isinstance(v, np.ndarray):
-            return v[self._gather_index()]
-        return [v[c - 1] for c in self.col_of_row]
+            return v[self._index]
+        # an object array holds the entries themselves, so the gather
+        # returns the caller's objects unconverted
+        return np.fromiter(v, dtype=object, count=len(v))[self._index].tolist()
 
     def inverse(self) -> "IndexPerm":
-        inv = [0] * self.n_rows
-        for r, c in enumerate(self.col_of_row, start=1):
-            inv[c - 1] = r
-        return IndexPerm(tuple(inv))
+        inv = np.empty_like(self._index)
+        inv[self._index] = np.arange(self.n_rows, dtype=np.intp)
+        return IndexPerm._from_index(inv)
 
     def compose(self, other: "IndexPerm") -> "IndexPerm":
         """Index permutation of the matrix product self . other."""
         if other.n_rows != self.n_rows:
             raise ValueError("cannot compose index permutations of different sizes")
-        return IndexPerm(tuple(other.col_of_row[c - 1] for c in self.col_of_row))
+        return IndexPerm._from_index(other._index[self._index])
 
 
-@lru_cache(maxsize=512)
-def _induced_perm_cached(dims: tuple[int, ...], mapping: tuple[int, ...]) -> IndexPerm:
-    k = len(dims)
-    out_dims = tuple(dims[s - 1] for s in mapping)
-    n = prod(dims)
-    cols = [0] * n
-    j = [0] * k
-    for r in range(1, n + 1):
-        i = _unflatten(out_dims, r)
-        for t in range(k):
-            j[mapping[t] - 1] = i[t]
-        cols[r - 1] = _flatten(dims, tuple(j))
-    return IndexPerm(tuple(cols))
+def _induced_index(dims: tuple[int, ...], mapping: tuple[int, ...]) -> np.ndarray:
+    # Entry j of arange(N).reshape(dims) is the 0-based column of multi-index
+    # j; moving axis sigma(t) to position t and reading the result in row
+    # order gives, for each row i, the column with j_sigma(t) = i_t.
+    axes = [s - 1 for s in mapping]
+    return np.arange(prod(dims), dtype=np.intp).reshape(dims).transpose(axes).ravel()
+
+
+class _IndexCache:
+    """Least-recently-used induced permutations, bounded by the total bytes
+    of their index arrays rather than by their count."""
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._perms: OrderedDict[tuple, IndexPerm] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> IndexPerm | None:
+        with self._lock:
+            perm = self._perms.get(key)
+            if perm is not None:
+                self._perms.move_to_end(key)
+            return perm
+
+    def put(self, key: tuple, perm: IndexPerm) -> None:
+        size = perm.index.nbytes
+        if size > self.budget:
+            return
+        with self._lock:
+            old = self._perms.pop(key, None)
+            if old is not None:
+                self.nbytes -= old.index.nbytes
+            self._perms[key] = perm
+            self.nbytes += size
+            while self.nbytes > self.budget:
+                _, evicted = self._perms.popitem(last=False)
+                self.nbytes -= evicted.index.nbytes
+
+
+_CACHE = _IndexCache(_CACHE_BYTES)
 
 
 def induced_index_perm(dims: DimList, sigma: Sigma) -> IndexPerm:
@@ -240,9 +335,21 @@ def induced_index_perm(dims: DimList, sigma: Sigma) -> IndexPerm:
     flattening, over the *input* dimensions, the multi-index (j1, ..., jk)
     with j_sigma(t) = i_t. Equivalently: applying the result to a1 (x) ... (x) ak
     produces a_sigma(1) (x) ... (x) a_sigma(k).
+
+    Raises :class:`CapacityError` above :data:`IMPLICIT_BOUND` entries,
+    before anything is allocated.
     """
+    key = (dims.dims, sigma.mapping)
+    perm = _CACHE.get(key)
+    if perm is not None:
+        return perm
     if len(sigma) != len(dims):
         raise ValueError(
             f"sigma has {len(sigma)} positions but there are {len(dims)} factors"
         )
-    return _induced_perm_cached(dims.dims, sigma.mapping)
+    n = dims.size
+    if n > IMPLICIT_BOUND:
+        raise CapacityError(f"implicit order {n} exceeds implicit bound {IMPLICIT_BOUND}")
+    perm = IndexPerm._from_index(_induced_index(*key))
+    _CACHE.put(key, perm)
+    return perm

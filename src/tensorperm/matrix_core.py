@@ -43,7 +43,8 @@ COMPLEX_DOMAIN = "complex"
 
 
 class CapacityError(Exception):
-    """A dense object would exceed the configured row/column bound."""
+    """A dense object would exceed the configured row/column bound, or an
+    index permutation the implicit bound."""
 
 
 def _as_matrix(a) -> np.ndarray:

@@ -108,9 +108,8 @@ def build_delta(spec: TensorPermSpec, dense_bound: int = DEFAULT_DENSE_BOUND) ->
     """
     n = spec.size
     _check_capacity(n, dense_bound)
-    cols = induced_index_perm(spec.dims, spec.sigma).col_of_row
     dense = np.zeros((n, n), dtype=np.int64)
-    dense[np.arange(n), np.asarray(cols, dtype=np.intp) - 1] = 1
+    dense[np.arange(n), induced_index_perm(spec.dims, spec.sigma).index] = 1
     return dense
 
 

@@ -6,6 +6,8 @@ instead of arithmetic, explicit block assembly instead of vectorized kron.
 import itertools
 import math
 
+from tensorperm.index_algebra import _flatten, _unflatten
+
 
 def lex_position(dims, parts):
     """1-based rank of a multi-index in the lexicographic enumeration of all
@@ -91,3 +93,19 @@ def all_specs(max_size, max_k=4):
     for dims in dim_lists(max_size, max_k):
         for mapping in itertools.permutations(range(1, len(dims) + 1)):
             yield dims, mapping
+
+
+def induced_cols_per_row(dims, mapping):
+    """1-based column of each row's 1, one row at a time: unflatten the row
+    over the permuted dimensions, send part t to factor sigma(t), flatten over
+    the original dimensions. Uses only the library's per-index helpers, not
+    its array construction of the same permutation."""
+    out_dims = tuple(dims[s - 1] for s in mapping)
+    cols = []
+    for r in range(1, math.prod(dims) + 1):
+        i = _unflatten(out_dims, r)
+        j = [0] * len(dims)
+        for t, s in enumerate(mapping):
+            j[s - 1] = i[t]
+        cols.append(_flatten(tuple(dims), tuple(j)))
+    return tuple(cols)

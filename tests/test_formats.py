@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from tensorperm import (
+    DEFAULT_DENSE_BOUND,
+    CapacityError,
     DimList,
     IndexPerm,
     Sigma,
@@ -124,3 +126,51 @@ def test_writers_are_deterministic():
 def test_perm_round_trip_via_index_perm():
     perm = IndexPerm((2, 3, 1))
     assert parse_perm(write_perm(perm)) == perm
+
+
+@pytest.mark.parametrize("text", ["0", "0\n", "-2\n"])
+def test_perm_parser_rejects_nonpositive_size(text):
+    with pytest.raises(ValueError, match="size must be positive"):
+        parse_perm(text)
+
+
+@pytest.mark.parametrize("text", ["3\n0 1 2\n", "3\n1 2 4\n", "3\n1 1 2\n",
+                                  "2\n1 99999999999999999999\n", "2\n1 x\n"])
+def test_perm_parser_rejects_bad_entries(text):
+    with pytest.raises(ValueError) as info:
+        parse_perm(text)
+    assert "\n" not in str(info.value)
+
+
+def test_perm_parser_builds_array_backed_perm():
+    perm = parse_perm("4\n2 4 1 3\n")
+    assert perm.index.tolist() == [1, 3, 0, 2]
+    assert not perm.index.flags.writeable
+    assert perm == IndexPerm((2, 4, 1, 3))
+
+
+def test_matrix_market_parser_rejects_duplicate_coordinates():
+    text = "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 1\n1 1 1\n"
+    with pytest.raises(ValueError, match="duplicate coordinate"):
+        parse_matrix_market(text)
+
+
+@pytest.mark.parametrize("shape", ["4097 1", "1 4097", "100000 100000", "10000000000 10000000000"])
+def test_matrix_market_parser_bounds_the_header_shape(shape):
+    text = f"%%MatrixMarket matrix coordinate integer general\n{shape} 0\n"
+    with pytest.raises(CapacityError, match="dense bound") as info:
+        parse_matrix_market(text)
+    assert "\n" not in str(info.value)
+
+
+def test_matrix_market_parser_accepts_the_bound():
+    text = f"%%MatrixMarket matrix coordinate integer general\n{DEFAULT_DENSE_BOUND} 1 1\n2 1 5\n"
+    m = parse_matrix_market(text)
+    assert m.shape == (DEFAULT_DENSE_BOUND, 1)
+    assert m[1, 0] == 5 and int(m.sum()) == 5
+
+
+def test_matrix_market_parser_rejects_values_past_int64():
+    text = "%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 99999999999999999999\n"
+    with pytest.raises(ValueError, match="int64"):
+        parse_matrix_market(text)

@@ -1,0 +1,162 @@
+"""The array-native index core: induced permutations built by tensor
+transposition, the array-backed IndexPerm, the byte-bounded cache of induced
+permutations and the implicit size bound."""
+
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tensorperm import (
+    IMPLICIT_BOUND,
+    CapacityError,
+    DimList,
+    IndexPerm,
+    Sigma,
+    induced_index_perm,
+)
+from tensorperm import index_algebra
+from tensorperm.cli import main
+
+from oracles import induced_cols_per_row
+
+
+@st.composite
+def specs(draw):
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    mapping = draw(st.permutations(range(1, len(dims) + 1)))
+    return tuple(dims), tuple(mapping)
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs())
+def test_induced_perm_matches_per_row_reference(spec):
+    dims, mapping = spec
+    perm = induced_index_perm(DimList(dims), Sigma(mapping))
+    assert perm.col_of_row == induced_cols_per_row(dims, mapping)
+
+
+def test_index_is_read_only_zero_based_intp():
+    perm = induced_index_perm(DimList((3, 2)), Sigma((2, 1)))
+    assert perm.index.dtype == np.intp
+    assert perm.index.tolist() == [0, 2, 4, 1, 3, 5]
+    assert not perm.index.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        perm.index[0] = 1
+    assert perm.col_of_row == (1, 3, 5, 2, 4, 6)
+    assert all(type(c) is int for c in perm.col_of_row)
+
+
+def test_constructor_leaves_caller_array_writable():
+    cols = np.array([2, 3, 1])
+    perm = IndexPerm(cols)
+    cols[0] = 7
+    assert perm.col_of_row == (2, 3, 1)
+
+
+def test_equality_and_hash_by_value():
+    a = IndexPerm((2, 3, 1))
+    b = IndexPerm([2, 3, 1])
+    c = IndexPerm(np.array([2, 3, 1], dtype=np.int32))
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == 1
+    assert a != IndexPerm((1, 2, 3))
+    assert a != IndexPerm((2, 1))
+    assert a != (2, 3, 1)
+    assert a == IndexPerm((3, 1, 2)).inverse()
+
+
+@pytest.mark.parametrize("cols", [(0, 1, 2), (1, 2, 4), (1, 1, 3), (3, 3, 3), (2**70, 1)])
+def test_rejects_entries_outside_or_repeated(cols):
+    with pytest.raises(ValueError, match="not a permutation") as info:
+        IndexPerm(cols)
+    assert "\n" not in str(info.value)
+
+
+def test_rejects_nested_input():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        IndexPerm([[1, 2], [2, 1]])
+
+
+def test_inverse_and_compose_agree_with_one_based_loops():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 50):
+        p = IndexPerm(rng.permutation(n) + 1)
+        q = IndexPerm(rng.permutation(n) + 1)
+        inv = [0] * n
+        for r, c in enumerate(p.col_of_row, start=1):
+            inv[c - 1] = r
+        assert p.inverse().col_of_row == tuple(inv)
+        assert p.compose(q).col_of_row == tuple(q.col_of_row[c - 1] for c in p.col_of_row)
+        assert not p.inverse().index.flags.writeable
+        assert not p.compose(q).index.flags.writeable
+
+
+def test_list_apply_returns_the_original_objects():
+    perm = IndexPerm((3, 1, 2))
+    values = [10**30, 2.5, -7]
+    out = perm.apply(values)
+    assert out == [-7, 10**30, 2.5]
+    assert all(a is b for a, b in zip(out, [values[2], values[0], values[1]]))
+    assert perm.apply((1, 2, 3)) == [3, 1, 2]
+
+
+def test_pickle_round_trip_keeps_value_and_read_only_index():
+    perm = induced_index_perm(DimList((2, 3, 2)), Sigma((3, 1, 2)))
+    back = pickle.loads(pickle.dumps(perm))
+    assert back == perm
+    assert not back.index.flags.writeable
+
+
+def test_cache_is_bounded_by_index_bytes():
+    item = np.dtype(np.intp).itemsize
+    cache = index_algebra._IndexCache(budget=10 * item)
+    perms = {n: IndexPerm(range(1, n + 1)) for n in (4, 5, 6, 11)}
+    cache.put("a", perms[4])
+    cache.put("b", perms[5])
+    assert cache.get("a") is perms[4]  # "b" is now the least recently used
+    cache.put("c", perms[6])
+    assert cache.get("b") is None
+    assert cache.get("a") is perms[4] and cache.get("c") is perms[6]
+    assert cache.nbytes == 10 * item
+    cache.put("d", perms[11])  # larger than the whole budget: not kept
+    assert cache.get("d") is None
+    assert cache.nbytes == 10 * item
+    cache.put("a", perms[4])  # re-inserting a key does not count it twice
+    assert cache.nbytes == 10 * item
+
+
+class _Reached(Exception):
+    """Raised in place of building an index array, so bound tests allocate nothing."""
+
+
+def _no_build(dims, mapping):
+    raise _Reached(dims)
+
+
+def test_implicit_bound_admits_the_bound(monkeypatch):
+    monkeypatch.setattr(index_algebra, "_induced_index", _no_build)
+    for dims, mapping in [((IMPLICIT_BOUND,), (1,)), ((2**14, 2**13), (2, 1))]:
+        with pytest.raises(_Reached):
+            induced_index_perm(DimList(dims), Sigma(mapping))
+    with pytest.raises(_Reached):
+        main(["gen", "--format", "perm", "--dims", str(IMPLICIT_BOUND)])
+
+
+def test_implicit_bound_plus_one_is_a_capacity_error(monkeypatch, capsys):
+    monkeypatch.setattr(index_algebra, "_induced_index", _no_build)
+    with pytest.raises(CapacityError, match="implicit bound"):
+        induced_index_perm(DimList((IMPLICIT_BOUND + 1,)), Sigma((1,)))
+    for argv in (
+        ["gen", "--format", "perm", "--dims", str(IMPLICIT_BOUND + 1)],
+        ["gen", "--format", "perm", "--dims", "100000,100000"],
+        ["bench", "--dims", "100000,100000", "--reps", "1"],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: implicit order")
+        assert captured.err.count("\n") == 1
