@@ -13,7 +13,6 @@ from .index_algebra import (
     Sigma,
     flatten,
     induced_index_perm,
-    sigma_inverse,
     unflatten,
 )
 from .matrix_core import (
@@ -63,7 +62,6 @@ __all__ = [
     "IMPLICIT_BOUND",
     "flatten",
     "unflatten",
-    "sigma_inverse",
     "induced_index_perm",
     "DEFAULT_DENSE_BOUND",
     "CapacityError",

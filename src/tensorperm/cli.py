@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial, reduce
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .perm_matrix import (
     build_stride_rule,
     commutation_conjugation_check,
     is_permutation_matrix,
-    tcm_spec,
 )
 from .gellmann import decompose_swap
 from . import formats
@@ -76,13 +76,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _kron_vector(parts: list[np.ndarray]) -> np.ndarray:
-    out = parts[0].reshape(-1, 1)
-    for part in parts[1:]:
-        out = kron(out, part.reshape(-1, 1), dense_bound=out.shape[0] * part.shape[0])
-    return out.ravel()
-
-
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
     size = spec.size
@@ -99,11 +92,12 @@ def _cmd_verify(args) -> int:
             dense, build_stride_rule(dims[0], dims[1], dense_bound=args.dense_bound)
         )
 
+    kron_within_bound = partial(kron, dense_bound=args.dense_bound)
     relocation = True
     for _ in range(_VERIFY_SAMPLES):
-        vecs = [rng.integers(-9, 10, d) for d in dims]
-        got = apply_perm(spec, _kron_vector(vecs))
-        want = _kron_vector([vecs[sigma(t) - 1] for t in range(1, len(dims) + 1)])
+        vecs = [rng.integers(-9, 10, (d, 1)) for d in dims]
+        got = apply_perm(spec, reduce(kron_within_bound, vecs).ravel())
+        want = reduce(kron_within_bound, [vecs[s - 1] for s in sigma.mapping]).ravel()
         relocation = relocation and np.array_equal(got, want)
 
     conjugation = all(
@@ -133,20 +127,17 @@ def _cmd_classify(args) -> int:
     if order > args.dense_bound:
         raise CapacityError(f"dense order {order} exceeds dense bound {args.dense_bound}")
     factorizations = [(n, order // n) for n in range(1, order + 1) if order % n == 0]
-    mats = {
-        (n, p): build_delta(tcm_spec(n, p), dense_bound=args.dense_bound)
-        for n, p in factorizations
-    }
-    identity = np.eye(order, dtype=np.int64)
+    perms = {pair: induced_index_perm(DimList(pair), Sigma((2, 1))) for pair in factorizations}
+    labels_of = {}  # IndexPerm equality and hashing are by value
+    for pair, perm in perms.items():
+        labels_of.setdefault(perm, []).append(pair)
+    identity = perms[(1, order)]  # U[1(x)N] moves nothing
     for n, p in factorizations:
+        perm = perms[(n, p)]
         marks = []
-        if np.array_equal(mats[(n, p)], identity):
+        if perm == identity:
             marks.append("identity")
-        partners = [
-            f"{a}x{b}"
-            for a, b in factorizations
-            if (a, b) != (n, p) and np.array_equal(mats[(a, b)], mats[(n, p)])
-        ]
+        partners = [f"{a}x{b}" for a, b in labels_of[perm] if (a, b) != (n, p)]
         if partners:
             marks.append("= " + " = ".join(partners))
         print(" ".join([f"{n}x{p}", *marks]).rstrip())

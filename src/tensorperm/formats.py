@@ -6,6 +6,8 @@ printed with 10 significant digits.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .index_algebra import IndexPerm
@@ -24,6 +26,15 @@ __all__ = [
 ]
 
 MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
+
+# The integer text the writers emit: ASCII digits, a leading minus only on a
+# Matrix Market value, and ASCII whitespace between tokens. Python's int()
+# would also take "+2", "1_0" and non-ASCII digits.
+_MM_SIZE = re.compile(r"([0-9]+)\s+([0-9]+)\s+([0-9]+)", re.ASCII)
+_MM_ENTRY = re.compile(r"([0-9]+)\s+([0-9]+)\s+(-?[0-9]+)", re.ASCII)
+# split() has already cut the perm tokens, so a text of only these
+# characters holds only digit tokens
+_PERM_TEXT = re.compile(r"[0-9\s]*", re.ASCII)
 
 
 def _fmt_float(x: float) -> str:
@@ -50,7 +61,10 @@ def parse_matrix_market(text: str) -> np.ndarray:
     """Inverse of :func:`write_matrix_market`; tolerates % comment lines.
 
     Rejects a shape past the dense bound (:class:`CapacityError`) before
-    allocating, and a coordinate given twice (``ValueError``)."""
+    allocating, and non-ASCII text, integer tokens the writer never emits and
+    a coordinate given twice (``ValueError``)."""
+    if not text.isascii():
+        raise ValueError("Matrix Market text must be ASCII")
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise ValueError("missing MatrixMarket header line")
@@ -60,11 +74,11 @@ def parse_matrix_market(text: str) -> np.ndarray:
     body = [ln for ln in lines[1:] if ln and not ln.startswith("%")]
     if not body:
         raise ValueError("missing size line")
-    try:
-        rows, cols, nnz = (int(tok) for tok in body[0].split())
-    except Exception as exc:
-        raise ValueError(f"bad size line: {body[0]!r}") from exc
-    if rows < 1 or cols < 1 or nnz < 0:
+    size = _MM_SIZE.fullmatch(body[0])
+    if size is None:
+        raise ValueError(f"bad size line: {body[0]!r}")
+    rows, cols, nnz = map(int, size.groups())
+    if rows < 1 or cols < 1:
         raise ValueError(f"bad size line: {body[0]!r}")
     if max(rows, cols) > DEFAULT_DENSE_BOUND:
         raise CapacityError(
@@ -75,10 +89,10 @@ def parse_matrix_market(text: str) -> np.ndarray:
     m = np.zeros((rows, cols), dtype=np.int64)
     seen = set()
     for ln in body[1:]:
-        toks = ln.split()
-        if len(toks) != 3:
+        entry = _MM_ENTRY.fullmatch(ln)
+        if entry is None:
             raise ValueError(f"bad coordinate line: {ln!r}")
-        r, c, v = int(toks[0]), int(toks[1]), int(toks[2])
+        r, c, v = map(int, entry.groups())
         if not 1 <= r <= rows or not 1 <= c <= cols:
             raise ValueError(f"coordinate out of range: {ln!r}")
         if (r, c) in seen:
@@ -100,7 +114,8 @@ def write_perm(perm: IndexPerm) -> str:
 
 def parse_perm(text: str) -> IndexPerm:
     """Inverse of :func:`write_perm`: a positive size N, then N columns that
-    form a permutation of 1..N."""
+    form a permutation of 1..N, all ASCII decimal digits separated by ASCII
+    whitespace."""
     toks = text.split()
     if not toks:
         raise ValueError("empty permutation text")
@@ -109,6 +124,8 @@ def parse_perm(text: str) -> IndexPerm:
         raise ValueError(f"permutation size must be positive, got {n}")
     if len(toks) - 1 != n:
         raise ValueError(f"expected {n} entries, found {len(toks) - 1}")
+    if not _PERM_TEXT.fullmatch(text):
+        raise ValueError("permutation text must be ASCII digits separated by ASCII whitespace")
     return IndexPerm(toks[1:])
 
 

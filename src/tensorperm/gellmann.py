@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix_core import DEFAULT_DENSE_BOUND, kron
-from .perm_matrix import build_delta, tcm_spec
+from .index_algebra import DimList, Sigma, induced_index_perm
+from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, kron
 
 __all__ = [
     "HermitianBasis",
@@ -129,20 +129,19 @@ class SwapDecomposition:
 def decompose_swap(n: int, dense_bound: int = DEFAULT_DENSE_BOUND) -> SwapDecomposition:
     """Expand U[n(x)n] over the basis products by trace inner products.
 
-    The divisor for each coefficient is Tr(B_a^2) * Tr(B_b^2): n^2 for the
-    identity pair, 4 for two generators, 2n for the mixed terms.
+    The coefficient of B_a (x) B_b is Tr(U (B_a (x) B_b)) = Tr(B_a B_b)
+    divided by Tr(B_a^2) * Tr(B_b^2): n^2 for the identity pair, 4 for two
+    generators, 2n for the mixed terms. Since vec(B^T) is vec(B) read
+    through U's index permutation, the whole table is one Gram product of
+    the flattened basis.
     """
     if n < 2:
         raise ValueError(f"swap decomposition needs a factor dimension of at least 2, got {n}")
-    u = build_delta(tcm_spec(n, n), dense_bound=dense_bound).astype(np.complex128)
+    if n * n > dense_bound:
+        raise CapacityError(f"dense order {n * n} exceeds dense bound {dense_bound}")
     basis = generalized_gellmann(n).with_identity()
-    norms = [float(np.trace(b @ b).real) for b in basis]
-    count = len(basis)
-    table = np.zeros((count, count), dtype=np.complex128)
-    ut = u.T
-    for a, left in enumerate(basis):
-        for b, right in enumerate(basis):
-            product = kron(left, right, dense_bound=dense_bound)
-            # Tr(U . K) without the full matrix product
-            table[a, b] = np.sum(ut * product) / (norms[a] * norms[b])
-    return SwapDecomposition(n=n, table=table)
+    flat = np.stack(basis).reshape(len(basis), n * n)
+    swap = induced_index_perm(DimList((n, n)), Sigma((2, 1)))
+    gram = flat[:, swap.index] @ flat.T
+    norms = gram.diagonal().real
+    return SwapDecomposition(n=n, table=gram / np.outer(norms, norms))

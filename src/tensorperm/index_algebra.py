@@ -41,7 +41,6 @@ __all__ = [
     "IMPLICIT_BOUND",
     "flatten",
     "unflatten",
-    "sigma_inverse",
     "induced_index_perm",
 ]
 
@@ -139,11 +138,6 @@ class Sigma:
         if len(other) != len(self):
             raise ValueError("cannot compose permutations of different lengths")
         return Sigma(tuple(self.mapping[v - 1] for v in other.mapping))
-
-
-def sigma_inverse(sigma: Sigma) -> Sigma:
-    """Inverse permutation, so that sigma.compose(result) is the identity."""
-    return sigma.inverse()
 
 
 def _flatten(dims: tuple[int, ...], parts: tuple[int, ...]) -> int:

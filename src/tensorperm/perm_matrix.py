@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
 from .index_algebra import DimList, Sigma, _flatten, induced_index_perm
-from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, rect_identity
+from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, domain_of, kron
 
 __all__ = [
     "TensorPermSpec",
@@ -184,15 +185,15 @@ def apply(spec: TensorPermSpec, v):
     return induced_index_perm(spec.dims, spec.sigma).apply(v)
 
 
-def _kron_unchecked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ra, ca = a.shape
-    rb, cb = b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
-
-
 def commutation_conjugation_check(spec: TensorPermSpec, matrices) -> bool:
     """True iff U . (A1 (x) ... (x) Ak) = (A_sigma(1) (x) ... (x) A_sigma(k)) . U
-    holds exactly, with A_t square of size dims[t]."""
+    holds exactly, with A_t square of size dims[t] and all factors in one of
+    the two scalar domains, exact integers or complex floats.
+
+    Since U is a permutation matrix, the identity is U . K . U^T = K', and
+    U . K . U^T is K with its rows and columns both gathered through U's
+    index permutation, so no matrix product is formed.
+    """
     mats = [np.asarray(a) for a in matrices]
     dims = spec.dims.dims
     if len(mats) != len(dims):
@@ -200,27 +201,13 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices) -> bool:
     for t, (a, d) in enumerate(zip(mats, dims), start=1):
         if a.shape != (d, d):
             raise ValueError(f"matrix {t} must be {d}x{d}, got {a.shape}")
-    n = spec.size
-    u = build_delta(spec, dense_bound=max(n, DEFAULT_DENSE_BOUND))
-    forward = mats[0]
-    for a in mats[1:]:
-        forward = _kron_unchecked(forward, a)
-    mapping = spec.sigma.mapping
-    permuted = mats[mapping[0] - 1]
-    for s in mapping[1:]:
-        permuted = _kron_unchecked(permuted, mats[s - 1])
-    if forward.dtype == np.int64:
-        # Every partial sum in U . K is an integer bounded by n * max|K|;
-        # while that stays below 2**53 the float64 product is exact and the
-        # BLAS path is much faster than numpy's integer matmul.
-        peak = n * max(1, int(np.abs(forward).max()))
-        if peak < 2**53:
-            uf = u.astype(np.float64)
-            return bool(
-                np.array_equal(uf @ forward.astype(np.float64),
-                               permuted.astype(np.float64) @ uf)
-            )
-    return bool(np.array_equal(u @ forward, permuted @ u))
+        domain_of(a)  # a single factor never reaches kron's domain check
+    # the factor shapes checked above fix the product's order at spec.size
+    kron_to_size = partial(kron, dense_bound=spec.size)
+    forward = reduce(kron_to_size, mats)
+    permuted = reduce(kron_to_size, [mats[s - 1] for s in spec.sigma.mapping])
+    index = induced_index_perm(spec.dims, spec.sigma).index
+    return bool(np.array_equal(forward[index][:, index], permuted))
 
 
 def is_permutation_matrix(m) -> bool:
@@ -236,8 +223,9 @@ def is_permutation_matrix(m) -> bool:
 def classify_tcm(m) -> list[TcmLabel]:
     """Every label (n, p) whose swap matrix equals ``m``; empty if none.
 
-    The input must be a square 0/1 matrix. Candidates are rebuilt fresh and
-    compared entry for entry, one per factorization of the order.
+    The input must be a square 0/1 matrix. The column of each row's 1 is read
+    once and compared with the index permutation of each factorization of
+    the order.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -245,12 +233,16 @@ def classify_tcm(m) -> list[TcmLabel]:
     if not np.isin(m, (0, 1)).all():
         raise ValueError("classification needs a 0/1 matrix")
     order = m.shape[0]
+    # with exactly one 1 in each row, m is fixed by the column of each row's 1
+    if order == 0 or not (m.sum(axis=1) == 1).all():
+        return []
+    cols = m.argmax(axis=1)
     labels = []
     for n in range(1, order + 1):
         if order % n:
             continue
         p = order // n
-        if np.array_equal(m, build_delta(tcm_spec(n, p), dense_bound=order)):
+        if np.array_equal(cols, induced_index_perm(DimList((n, p)), Sigma((2, 1))).index):
             labels.append(TcmLabel(n, p))
     return labels
 
@@ -264,25 +256,23 @@ class ClosureReport:
     witness: str | None = None
 
 
-def closure_check(n: int, p: int, dense_bound: int = DEFAULT_DENSE_BOUND) -> ClosureReport:
+def closure_check(n: int, p: int) -> ClosureReport:
     """Test closure of {U[1(x)np], U[n(x)p], U[p(x)n]} under matrix product.
 
-    This brute-force check multiplies every ordered pair and looks the result
-    up in the set. Closure holds when n = p or min(n, p) = 1 (the set then
-    collapses to {I, U} with U involutive) but fails in general: already for
-    (n, p) = (3, 2) the square of U[3(x)2] is a permutation matrix outside
-    the set.
+    Each matrix is its index permutation, so every ordered pair is composed
+    in O(np) and the product looked up in the set by value; the implicit
+    bound limits the order. Closure holds when n = p or min(n, p) = 1 (the
+    set then collapses to {I, U} with U involutive) but fails in general:
+    already for (n, p) = (3, 2) the square of U[3(x)2] is a permutation
+    matrix outside the set.
     """
-    size = n * p
-    _check_capacity(size, dense_bound)
     elements = [
-        (f"U[1x{size}]", rect_identity(size, size)),
-        (f"U[{n}x{p}]", build_delta(tcm_spec(n, p), dense_bound=dense_bound)),
-        (f"U[{p}x{n}]", build_delta(tcm_spec(p, n), dense_bound=dense_bound)),
+        (f"U[{a}x{b}]", induced_index_perm(DimList((a, b)), Sigma((2, 1))))
+        for a, b in ((1, n * p), (n, p), (p, n))
     ]
-    members = {mat.tobytes() for _, mat in elements}
+    members = {perm for _, perm in elements}
     for name_a, a in elements:
         for name_b, b in elements:
-            if (a @ b).tobytes() not in members:
+            if a.compose(b) not in members:
                 return ClosureReport(closed=False, witness=f"{name_a} * {name_b}")
     return ClosureReport(closed=True)

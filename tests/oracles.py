@@ -6,6 +6,9 @@ instead of arithmetic, explicit block assembly instead of vectorized kron.
 import itertools
 import math
 
+import numpy as np
+
+from tensorperm import ClosureReport, build_stride_rule, generalized_gellmann
 from tensorperm.index_algebra import _flatten, _unflatten
 
 
@@ -109,3 +112,35 @@ def induced_cols_per_row(dims, mapping):
             j[s - 1] = i[t]
         cols.append(_flatten(tuple(dims), tuple(j)))
     return tuple(cols)
+
+
+def dense_closure(n, p):
+    """closure_check by dense int64 products: multiply every ordered pair of
+    {I, U[n(x)p], U[p(x)n]} and look the product up in the set. The swaps
+    come from the stride-rule construction, not from the index permutation."""
+    size = n * p
+    elements = [
+        (f"U[1x{size}]", np.eye(size, dtype=np.int64)),
+        (f"U[{n}x{p}]", build_stride_rule(n, p)),
+        (f"U[{p}x{n}]", build_stride_rule(p, n)),
+    ]
+    members = {mat.tobytes() for _, mat in elements}
+    for name_a, a in elements:
+        for name_b, b in elements:
+            if (a @ b).tobytes() not in members:
+                return ClosureReport(closed=False, witness=f"{name_a} * {name_b}")
+    return ClosureReport(closed=True)
+
+
+def dense_trace_decomposition(n):
+    """Coefficient table of U[n(x)n] over the basis products, each entry the
+    trace Tr(U . (B_a (x) B_b)) of a dense Kronecker product, divided by
+    Tr(B_a^2) * Tr(B_b^2). O(n^8); the swap comes from the stride rule."""
+    u = build_stride_rule(n, n).astype(np.complex128)
+    basis = generalized_gellmann(n).with_identity()
+    norms = [float(np.trace(b @ b).real) for b in basis]
+    table = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    for a, left in enumerate(basis):
+        for b, right in enumerate(basis):
+            table[a, b] = np.sum(u.T * np.kron(left, right)) / (norms[a] * norms[b])
+    return table

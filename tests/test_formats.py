@@ -135,7 +135,9 @@ def test_perm_parser_rejects_nonpositive_size(text):
 
 
 @pytest.mark.parametrize("text", ["3\n0 1 2\n", "3\n1 2 4\n", "3\n1 1 2\n",
-                                  "2\n1 99999999999999999999\n", "2\n1 x\n"])
+                                  "2\n1 99999999999999999999\n", "2\n1 x\n",
+                                  "2\n+2 1\n", "10\n1_0 1 2 3 4 5 6 7 8 9\n",
+                                  "2\n\u0662 1\n", "2\n2\u00a01\n"])
 def test_perm_parser_rejects_bad_entries(text):
     with pytest.raises(ValueError) as info:
         parse_perm(text)
@@ -174,3 +176,11 @@ def test_matrix_market_parser_rejects_values_past_int64():
     text = "%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 99999999999999999999\n"
     with pytest.raises(ValueError, match="int64"):
         parse_matrix_market(text)
+
+
+@pytest.mark.parametrize("entry", ["2 2 1\n+2 1 5", "10 10 1\n1_0 1 5",
+                                   "2 2 1\n\u0662 1 5", "2 2 1\n2\u00a01 5"])
+def test_matrix_market_parser_rejects_integer_text_the_writer_never_emits(entry):
+    with pytest.raises(ValueError) as info:
+        parse_matrix_market(f"%%MatrixMarket matrix coordinate integer general\n{entry}\n")
+    assert "\n" not in str(info.value)

@@ -11,7 +11,6 @@ from tensorperm import (
     Sigma,
     flatten,
     induced_index_perm,
-    sigma_inverse,
     unflatten,
 )
 
@@ -106,20 +105,20 @@ def test_sigma_inverse_matches_exhaustive_search():
         if sigma.compose(Sigma(cand)) == identity
     ]
     assert found == [(3, 1, 2)]
-    assert sigma_inverse(sigma) == Sigma((3, 1, 2))
+    assert sigma.inverse() == Sigma((3, 1, 2))
 
 
 def test_sigma_identity_and_transpositions_are_involutions():
     for k in range(1, 5):
         ident = Sigma.identity(k)
-        assert sigma_inverse(ident) == ident
+        assert ident.inverse() == ident
     for k in range(2, 5):
         for a in range(1, k + 1):
             for b in range(a + 1, k + 1):
                 mapping = list(range(1, k + 1))
                 mapping[a - 1], mapping[b - 1] = mapping[b - 1], mapping[a - 1]
                 tr = Sigma(tuple(mapping))
-                assert sigma_inverse(tr) == tr
+                assert tr.inverse() == tr
 
 
 def test_sigma_rejects_non_permutations():
