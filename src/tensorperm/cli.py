@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 import numpy as np
 
 from .index_algebra import DimList, Sigma, induced_index_perm
-from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, kron
+from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, _check_capacity, kron
 from .perm_matrix import (
     TensorPermSpec,
     apply as apply_perm,
@@ -38,9 +38,17 @@ _VERIFY_SEED = 20240311
 
 def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(formats.parse_int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"{name} must be a comma-separated list of integers, got {text!r}")
+
+
+def _int_arg(text: str) -> int:
+    # argparse prints ArgumentTypeError's text as is: here, type=int's
+    try:
+        return formats.parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _spec_from_args(args) -> TensorPermSpec:
@@ -78,9 +86,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args)
-    size = spec.size
-    if size > args.dense_bound:
-        raise CapacityError(f"dense order {size} exceeds dense bound {args.dense_bound}")
     rng = np.random.default_rng(_VERIFY_SEED)
     dims = spec.dims.dims
     sigma = spec.sigma
@@ -124,8 +129,7 @@ def _cmd_classify(args) -> int:
     order = args.order
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
-    if order > args.dense_bound:
-        raise CapacityError(f"dense order {order} exceeds dense bound {args.dense_bound}")
+    _check_capacity(order, args.dense_bound)
     factorizations = [(n, order // n) for n in range(1, order + 1) if order % n == 0]
     perms = {pair: induced_index_perm(DimList(pair), Sigma((2, 1))) for pair in factorizations}
     labels_of = {}  # IndexPerm equality and hashing are by value
@@ -150,23 +154,6 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _parse_scalar(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        raise ValueError(f"cannot parse vector entry {tok!r}")
-
-
-def _format_scalar(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.10g}"
-
-
 def _cmd_apply(args) -> int:
     spec = _spec_from_args(args)
     if args.input == "-":
@@ -174,11 +161,11 @@ def _cmd_apply(args) -> int:
     else:
         with open(args.input, "r", encoding="ascii") as fh:
             text = fh.read()
-    values = [_parse_scalar(tok) for tok in text.split()]
+    values = [formats.parse_scalar(tok) for tok in text.split()]
     if len(values) != spec.size:
         raise ValueError(f"vector length {len(values)} does not match size {spec.size}")
     for value in apply_perm(spec, values):
-        print(_format_scalar(value))
+        print(formats.format_scalar(value))
     return 0
 
 
@@ -220,6 +207,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensorperm",
@@ -232,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", default=None, help=sigma_help)
 
     def add_bound_flag(p):
-        p.add_argument("--dense-bound", type=int, default=DEFAULT_DENSE_BOUND,
+        p.add_argument("--dense-bound", type=_int_arg, default=DEFAULT_DENSE_BOUND,
                        help="largest dense order allowed (default %(default)s)")
 
     p = sub.add_parser("gen", help="emit a tensor permutation matrix")
@@ -248,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("classify", help="list the swap labels of an order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_arg, required=True)
     add_bound_flag(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("decompose", help="expand the swap matrix over basis products")
-    p.add_argument("--n", type=int, required=True, help="factor dimension (>= 2)")
+    p.add_argument("--n", type=_int_arg, required=True, help="factor dimension (>= 2)")
     p.add_argument("--tolerance", type=float, default=1e-10,
                    help="omit coefficients at or below this magnitude (default %(default)s)")
     add_bound_flag(p)
@@ -266,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time implicit apply against dense matvec")
     add_spec_flags(p)
-    p.add_argument("--reps", type=int, default=100)
+    p.add_argument("--reps", type=_int_arg, default=100)
     add_bound_flag(p)
     p.set_defaults(func=_cmd_bench)
 

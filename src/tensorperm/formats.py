@@ -23,15 +23,22 @@ __all__ = [
     "write_dense",
     "write_blocks",
     "write_decomposition",
+    "parse_int",
+    "parse_scalar",
+    "format_scalar",
 ]
 
 MM_HEADER = "%%MatrixMarket matrix coordinate integer general"
 
-# The integer text the writers emit: ASCII digits, a leading minus only on a
-# Matrix Market value, and ASCII whitespace between tokens. Python's int()
-# would also take "+2", "1_0" and non-ASCII digits.
-_MM_SIZE = re.compile(r"([0-9]+)\s+([0-9]+)\s+([0-9]+)", re.ASCII)
-_MM_ENTRY = re.compile(r"([0-9]+)\s+([0-9]+)\s+(-?[0-9]+)", re.ASCII)
+# The number text the writers emit: ASCII digits, a leading minus only where
+# a value may be negative, and ASCII whitespace between tokens. Python's
+# int() and float() would also take "+2", "1_0" and non-ASCII digits.
+_DIGITS = "[0-9]+"
+_INT = f"-?{_DIGITS}"
+_INT_TEXT = re.compile(_INT)
+_SCALAR_TEXT = re.compile(rf"-?(?:{_DIGITS}\.?[0-9]*|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?|nan|-?inf")
+_MM_SIZE = re.compile(rf"({_DIGITS})\s+({_DIGITS})\s+({_DIGITS})", re.ASCII)
+_MM_ENTRY = re.compile(rf"({_DIGITS})\s+({_DIGITS})\s+({_INT})", re.ASCII)
 # split() has already cut the perm tokens, so a text of only these
 # characters holds only digit tokens
 _PERM_TEXT = re.compile(r"[0-9\s]*", re.ASCII)
@@ -39,6 +46,32 @@ _PERM_TEXT = re.compile(r"[0-9\s]*", re.ASCII)
 
 def _fmt_float(x: float) -> str:
     return f"{x:.10g}"
+
+
+def parse_int(text: str) -> int:
+    """An integer token as the writers emit it: ASCII digits after an optional minus."""
+    if _INT_TEXT.fullmatch(text) is None:
+        raise ValueError(f"invalid integer text {text!r}")
+    return int(text)
+
+
+def parse_scalar(text: str) -> int | float:
+    """A vector entry: an integer token, else an ASCII decimal float with an
+    optional exponent, or ``nan``, ``inf`` or ``-inf`` as
+    :func:`format_scalar` writes them."""
+    if _SCALAR_TEXT.fullmatch(text) is None:
+        raise ValueError(f"cannot parse vector entry {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # a float, or an integer past int's digit limit
+        return float(text)
+
+
+def format_scalar(x) -> str:
+    """Integers in full, floats with 10 significant digits."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return _fmt_float(float(x))
 
 
 def write_matrix_market(m) -> str:

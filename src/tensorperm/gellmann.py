@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .index_algebra import DimList, Sigma, induced_index_perm
-from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, kron
+from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, kron
 
 __all__ = [
     "HermitianBasis",
@@ -37,9 +37,6 @@ class HermitianBasis:
     n: int
     lambda0: np.ndarray
     generators: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.generators)
 
     def with_identity(self) -> list[np.ndarray]:
         """The full basis [lambda0, g1, g2, ...] in decomposition order."""
@@ -137,8 +134,7 @@ def decompose_swap(n: int, dense_bound: int = DEFAULT_DENSE_BOUND) -> SwapDecomp
     """
     if n < 2:
         raise ValueError(f"swap decomposition needs a factor dimension of at least 2, got {n}")
-    if n * n > dense_bound:
-        raise CapacityError(f"dense order {n * n} exceeds dense bound {dense_bound}")
+    _check_capacity(n * n, dense_bound)
     basis = generalized_gellmann(n).with_identity()
     flat = np.stack(basis).reshape(len(basis), n * n)
     swap = induced_index_perm(DimList((n, n)), Sigma((2, 1)))

@@ -119,14 +119,6 @@ class Sigma:
     def __len__(self) -> int:
         return len(self.mapping)
 
-    def __call__(self, t: int) -> int:
-        """Image sigma(t) of the 1-based position t."""
-        return self.mapping[t - 1]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == t for t, v in enumerate(self.mapping, start=1))
-
     def inverse(self) -> "Sigma":
         inv = [0] * len(self.mapping)
         for t, v in enumerate(self.mapping, start=1):

@@ -24,10 +24,8 @@ __all__ = [
     "domain_of",
     "kron",
     "matmul",
-    "transpose",
     "elementary",
     "elementary_kron_index",
-    "rect_identity",
     "kron_basis_rank",
     "rank_over_rationals",
     "matrices_equal",
@@ -45,6 +43,12 @@ COMPLEX_DOMAIN = "complex"
 class CapacityError(Exception):
     """A dense object would exceed the configured row/column bound, or an
     index permutation the implicit bound."""
+
+
+def _check_capacity(n: int, dense_bound: int) -> None:
+    """Refuse a dense square matrix of order ``n`` above ``dense_bound``."""
+    if n > dense_bound:
+        raise CapacityError(f"dense order {n} exceeds dense bound {dense_bound}")
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -114,10 +118,6 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def transpose(a) -> np.ndarray:
-    return _as_matrix(a).T.copy()
-
-
 def elementary(shape, i: int, j: int) -> np.ndarray:
     """Matrix with a single 1 at (i, j), 1-based. ``shape`` is a side length
     for a square matrix or a (rows, cols) pair."""
@@ -144,13 +144,6 @@ def elementary_kron_index(n: int, p: int, i: int, j: int, k: int, l: int) -> tup
     if not 1 <= k <= p or not 1 <= l <= p:
         raise ValueError(f"elementary indices ({k}, {l}) out of range for size {p}")
     return p * (i - 1) + k, p * (j - 1) + l
-
-
-def rect_identity(rows: int, cols: int) -> np.ndarray:
-    """Rectangular identity: entry (i, j) is 1 iff i = j."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"invalid identity shape {rows}x{cols}")
-    return np.eye(rows, cols, dtype=np.int64)
 
 
 def rank_over_rationals(rows) -> int:

@@ -32,7 +32,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .index_algebra import DimList, Sigma, _flatten, induced_index_perm
-from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, domain_of, kron
+from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, domain_of, kron, matrices_close
 
 __all__ = [
     "TensorPermSpec",
@@ -79,10 +79,6 @@ class TcmLabel:
     n: int
     p: int
 
-    @property
-    def order(self) -> int:
-        return self.n * self.p
-
     def spec(self) -> TensorPermSpec:
         return tcm_spec(self.n, self.p)
 
@@ -93,11 +89,6 @@ class TcmLabel:
 def tcm_spec(n: int, p: int) -> TensorPermSpec:
     """Spec of the tensor commutation matrix U[n(x)p]."""
     return TensorPermSpec(DimList((n, p)), Sigma((2, 1)))
-
-
-def _check_capacity(n: int, dense_bound: int) -> None:
-    if n > dense_bound:
-        raise CapacityError(f"dense order {n} exceeds dense bound {dense_bound}")
 
 
 def build_delta(spec: TensorPermSpec, dense_bound: int = DEFAULT_DENSE_BOUND) -> np.ndarray:
@@ -187,8 +178,10 @@ def apply(spec: TensorPermSpec, v):
 
 def commutation_conjugation_check(spec: TensorPermSpec, matrices) -> bool:
     """True iff U . (A1 (x) ... (x) Ak) = (A_sigma(1) (x) ... (x) A_sigma(k)) . U
-    holds exactly, with A_t square of size dims[t] and all factors in one of
-    the two scalar domains, exact integers or complex floats.
+    holds, with A_t square of size dims[t] and all factors in one of the two
+    scalar domains: exactly for integers, and for complex floats within
+    4 * k * eps * max|K'| for k factors, since the two Kronecker products
+    multiply each entry's factors in different orders.
 
     Since U is a permutation matrix, the identity is U . K . U^T = K', and
     U . K . U^T is K with its rows and columns both gathered through U's
@@ -207,7 +200,11 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices) -> bool:
     forward = reduce(kron_to_size, mats)
     permuted = reduce(kron_to_size, [mats[s - 1] for s in spec.sigma.mapping])
     index = induced_index_perm(spec.dims, spec.sigma).index
-    return bool(np.array_equal(forward[index][:, index], permuted))
+    conjugated = forward[index][:, index]
+    if not np.iscomplexobj(permuted):
+        return bool(np.array_equal(conjugated, permuted))
+    tol = 4 * len(mats) * np.finfo(np.float64).eps * np.abs(permuted).max()
+    return matrices_close(conjugated, permuted, tol)
 
 
 def is_permutation_matrix(m) -> bool:

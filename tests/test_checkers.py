@@ -12,6 +12,8 @@ from tensorperm import (
     closure_check,
     commutation_conjugation_check,
     decompose_swap,
+    kron,
+    perm_matrix,
     tcm_spec,
 )
 
@@ -67,6 +69,43 @@ def test_conjugation_takes_complex_factors():
     spec = TensorPermSpec((2, 3, 2), (2, 3, 1))
     mats = [rng.integers(-9, 10, (d, d)) + 1j * rng.integers(-9, 10, (d, d)) for d in (2, 3, 2)]
     assert commutation_conjugation_check(spec, mats)
+
+
+def _normal_complex(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+@pytest.mark.parametrize("spec", [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1))],
+                         ids=["3x2", "2,3,2"])
+def test_conjugation_tolerates_rounding_of_complex_factors(spec):
+    # the two Kronecker products round a*b and b*a differently, so exact
+    # equality fails for most draws of these factors
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        assert commutation_conjugation_check(spec, [_normal_complex(rng, d) for d in spec.dims])
+
+
+@pytest.mark.parametrize("spec", [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1))],
+                         ids=["3x2", "2,3,2"])
+def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
+    # Both sides are built from the same factors, so the identity always
+    # holds; to see that the tolerance still catches a real error, the
+    # product K' = A_sigma(1) (x) ... gets its first factor's largest entry
+    # scaled by 1 + 1e-9.
+    rng = np.random.default_rng(11)
+    mats = [_normal_complex(rng, d) for d in spec.dims]
+    assert commutation_conjugation_check(spec, mats)
+    calls = []
+
+    def kron_perturbing_k_prime(a, b, dense_bound):
+        calls.append(1)
+        if len(calls) == len(mats):  # K takes k - 1 products, then K' starts
+            a = a.copy()
+            a.flat[np.abs(a).argmax()] *= 1 + 1e-9
+        return kron(a, b, dense_bound=dense_bound)
+
+    monkeypatch.setattr(perm_matrix, "kron", kron_perturbing_k_prime)
+    assert not commutation_conjugation_check(spec, mats)
 
 
 @pytest.mark.parametrize("mats", [

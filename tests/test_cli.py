@@ -1,8 +1,15 @@
+import contextlib
+import io
+import re
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorperm import build_delta, tcm_spec
 from tensorperm.cli import main
-from tensorperm.formats import parse_matrix_market
+from tensorperm.formats import format_scalar, parse_matrix_market
 
 
 def run_cli(args, capsys):
@@ -276,3 +283,138 @@ def test_diagnostics_never_pollute_stdout(capsys):
         assert code == 2
         assert out == ""
         assert err != ""
+
+
+# integer spellings that Python's int() takes but the writers never emit
+_BAD_INT_TOKENS = ["+3", "\u0663", "\uff13", "1_0", " 2", "2 ", "0x3", "3.0", "", "\u00b2", "2e1"]
+_INT_LIST = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--dims", "+3,2"],
+    ["gen", "--dims", "\u0663,2"],
+    ["gen", "--dims", "3, 2"],
+    ["gen", "--dims", "3,2", "--sigma", "2,+1"],
+])
+def test_number_text_the_writers_never_emit_exits_2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
+def test_vector_text_the_writers_never_emit_exits_2(tmp_path, capsys):
+    vec = tmp_path / "v.txt"
+    for text in ("+3 1_0", "1 2 3 4 5 +6", "1 2 3 4 5 NaN", "1 2 3 4 5 Infinity"):
+        vec.write_text(text)
+        code, out, err = run_cli(["apply", "--dims", "3,2", "--input", str(vec)], capsys)
+        assert code == 2, text
+        assert out == ""
+        assert err.startswith("error: cannot parse vector entry") and err.count("\n") == 1
+
+
+def test_vector_entries_round_trip_the_writers_spellings(tmp_path, capsys):
+    entries = ["-0", "12", "-1.5", "2.5e-07", "1e+20", "nan", "inf", "-inf"]
+    vec = tmp_path / "v.txt"
+    vec.write_text("\n".join(entries))
+    code, out, _ = run_cli(["apply", "--dims", "8", "--input", str(vec)], capsys)
+    assert code == 0
+    assert out.split() == ["0", "12", "-1.5", "2.5e-07", "1e+20", "nan", "inf", "-inf"]
+
+
+def test_integer_options_keep_argparse_usage_errors(capsys):
+    for value in ("+3", "x", "3.0"):
+        code, out, err = run_cli(["classify", "--order", value], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"tensorperm classify: error: argument --order: invalid int value: {value!r}"
+        )
+
+
+@st.composite
+def _small_dims(draw):
+    # at most 4096 entries, so no example allocates more than a few MB
+    dims, total = [], 1
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(0, min(64, 4096 // total)))
+        dims.append(d)
+        total *= max(d, 1)
+    return dims
+
+
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+_bad_list = st.lists(
+    st.one_of(st.sampled_from(_BAD_INT_TOKENS), st.integers(-2, 8).map(str)), min_size=1, max_size=4
+).map(",".join).filter(lambda text: _INT_LIST.fullmatch(text) is None)
+_junk = st.text(max_size=12).filter(lambda text: _INT_LIST.fullmatch(text) is None)
+_dims_text = st.one_of(_small_dims().map(_csv), _bad_list, _junk)
+_sigma_text = st.one_of(
+    st.none(),
+    st.integers(1, 4).flatmap(lambda k: st.permutations(range(1, k + 1))).map(_csv),
+    st.lists(st.integers(-1, 5), min_size=1, max_size=4).map(_csv),
+    _bad_list,
+    _junk,
+)
+_vector_token = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(format_scalar),
+    st.sampled_from([*_BAD_INT_TOKENS, "NaN", "Infinity", "1.5e", ".5", "5.", "-.5e-3"]),
+)
+
+
+def _run_quiet(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    # 0, or one diagnostic line; argparse writes its usage block before a
+    # usage error, and that text stays as argparse writes it
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        return
+    *usage, diagnostic = err.splitlines()
+    if usage:
+        assert usage[0].startswith("usage: tensorperm ")
+        assert all(line.startswith(" ") for line in usage[1:])
+        assert diagnostic.startswith("tensorperm ") and ": error: " in diagnostic
+    else:
+        assert diagnostic.startswith("error: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=_dims_text, sigma=_sigma_text, tokens=st.lists(_vector_token, max_size=80),
+       data=st.data())
+def test_fuzz_spec_flags_and_vector_file(tmp_path_factory, dims, sigma, tokens, data):
+    flags = [f"--dims={dims}"] + ([] if sigma is None else [f"--sigma={sigma}"])
+    code, _, err = _run_quiet(["gen", *flags])
+    _assert_clean_exit(code, err)
+    if code == 0 and data.draw(st.booleans()):
+        # a vector of the right length, so the apply itself runs; drawn from
+        # a seed, since a few thousand drawn tokens would overrun Hypothesis
+        size = int(np.prod([int(d) for d in dims.split(",")]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = rng.integers(-99, 100, size) if data.draw(st.booleans()) else rng.standard_normal(size)
+        tokens = [format_scalar(x) for x in values.tolist()]
+    vec = tmp_path_factory.mktemp("fuzz") / "v.txt"
+    vec.write_text(data.draw(st.sampled_from(["\n", " ", "\t"])).join(tokens), encoding="utf-8")
+    code, _, err = _run_quiet(["apply", *flags, f"--input={vec}"])
+    _assert_clean_exit(code, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(-5, 5000).map(str), st.sampled_from(_BAD_INT_TOKENS), st.text(max_size=8)))
+def test_fuzz_classify_order(order):
+    code, _, err = _run_quiet(["classify", f"--order={order}"])
+    _assert_clean_exit(code, err)
