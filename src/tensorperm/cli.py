@@ -51,6 +51,17 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+def _tolerance_arg(text: str) -> float:
+    # the vector-entry rule, then a float that is finite and not negative
+    try:
+        value = formats.parse_scalar(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value <= sys.float_info.max:  # also false for nan
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return float(value)
+
+
 def _spec_from_args(args) -> TensorPermSpec:
     dims = DimList(_parse_int_list(args.dims, "--dims"))
     if args.sigma is None:
@@ -177,10 +188,10 @@ def _cmd_bench(args) -> int:
     size = spec.size
     vec = np.arange(1, size + 1, dtype=np.float64)
 
-    apply_perm(spec, vec)  # warm up before timing
+    perm.apply(vec)  # warm up before timing
     t0 = time.perf_counter_ns()
     for _ in range(args.reps):
-        apply_perm(spec, vec)
+        perm.apply(vec)
     implicit_ns = max((time.perf_counter_ns() - t0) // args.reps, 1)
     print(f"implicit apply: {implicit_ns} ns/application ({args.reps} reps)")
 
@@ -242,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="expand the swap matrix over basis products")
     p.add_argument("--n", type=_int_arg, required=True, help="factor dimension (>= 2)")
-    p.add_argument("--tolerance", type=float, default=1e-10,
+    p.add_argument("--tolerance", type=_tolerance_arg, default=1e-10,
                    help="omit coefficients at or below this magnitude (default %(default)s)")
     add_bound_flag(p)
     p.set_defaults(func=_cmd_decompose)

@@ -61,10 +61,8 @@ def parse_scalar(text: str) -> int | float:
     :func:`format_scalar` writes them."""
     if _SCALAR_TEXT.fullmatch(text) is None:
         raise ValueError(f"cannot parse vector entry {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # a float, or an integer past int's digit limit
-        return float(text)
+    # int() refuses an integer past Python's digit limit with a ValueError
+    return int(text) if _INT_TEXT.fullmatch(text) else float(text)
 
 
 def format_scalar(x) -> str:

@@ -13,20 +13,20 @@ permutation matrix in implicit form, stored one column index per row.
 :class:`IndexPerm` holds it as one read-only 0-based ``np.intp`` array, and
 :func:`induced_index_perm` builds that array by a tensor transposition:
 ``arange(N)`` reshaped to the factor dimensions, its axes reordered by sigma,
-and read back in row order. The result is validated once in O(N) and cached
-by (dims, sigma), least recently used first out, up to 256 MB of index
-arrays. Orders above :data:`IMPLICIT_BOUND` raise :class:`CapacityError`
-before anything is allocated. Conversion to 1-based indices happens only at
-the API and format boundaries. The per-index :func:`flatten` and
+and read back in row order. The result is validated once in O(N). Orders up
+to 2**20 are cached by (dims, sigma) with ``functools.lru_cache``, 32 at a
+time, so the cache holds at most 256 MiB of index arrays; larger orders are
+built on each call. Orders above :data:`IMPLICIT_BOUND` raise
+:class:`CapacityError` before anything is allocated. Conversion to 1-based
+indices happens only at the API and format boundaries. The per-index :func:`flatten` and
 :func:`unflatten` stay independent of that core, so tests can check one
 against the other.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 from typing import Sequence
 
@@ -48,8 +48,9 @@ __all__ = [
 # entry, 1 GiB at the bound.
 IMPLICIT_BOUND = 2**27
 
-# Total bytes of index arrays that the induced-permutation cache may hold.
-_CACHE_BYTES = 256 * 2**20
+# Largest order whose induced permutation is cached; 32 cached index arrays
+# of this size take 256 MiB.
+_CACHED_ORDER = 2**20
 
 
 @dataclass(frozen=True)
@@ -192,10 +193,10 @@ class IndexPerm:
     Applying it to a vector v therefore yields out[r] = v[col_of_row[r]].
     The permutation is held as one read-only 0-based ``np.intp`` array,
     :attr:`index`; ``col_of_row`` is the same permutation as a 1-based tuple
-    of ints, built on first access. Equality and hashing are by value.
+    of ints, built on each access. Equality and hashing are by value.
     """
 
-    __slots__ = ("_index", "_cols")
+    __slots__ = ("_index",)
 
     def __init__(self, col_of_row: Sequence[int]) -> None:
         try:
@@ -203,14 +204,12 @@ class IndexPerm:
         except OverflowError:
             raise ValueError("col_of_row is not a permutation: entry out of range") from None
         self._index = _validated(cols - 1)
-        self._cols: tuple[int, ...] | None = None
 
     @classmethod
     def _from_index(cls, index: np.ndarray) -> "IndexPerm":
         # ``index`` is 0-based, owned by the new permutation and frozen here
         perm = cls.__new__(cls)
         perm._index = _validated(index)
-        perm._cols = None
         return perm
 
     @property
@@ -221,9 +220,7 @@ class IndexPerm:
     @property
     def col_of_row(self) -> tuple[int, ...]:
         """1-based column of each row's 1."""
-        if self._cols is None:
-            self._cols = tuple((self._index + 1).tolist())
-        return self._cols
+        return tuple((self._index + 1).tolist())
 
     @property
     def n_rows(self) -> int:
@@ -278,39 +275,9 @@ def _induced_index(dims: tuple[int, ...], mapping: tuple[int, ...]) -> np.ndarra
     return np.arange(prod(dims), dtype=np.intp).reshape(dims).transpose(axes).ravel()
 
 
-class _IndexCache:
-    """Least-recently-used induced permutations, bounded by the total bytes
-    of their index arrays rather than by their count."""
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.nbytes = 0
-        self._perms: OrderedDict[tuple, IndexPerm] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> IndexPerm | None:
-        with self._lock:
-            perm = self._perms.get(key)
-            if perm is not None:
-                self._perms.move_to_end(key)
-            return perm
-
-    def put(self, key: tuple, perm: IndexPerm) -> None:
-        size = perm.index.nbytes
-        if size > self.budget:
-            return
-        with self._lock:
-            old = self._perms.pop(key, None)
-            if old is not None:
-                self.nbytes -= old.index.nbytes
-            self._perms[key] = perm
-            self.nbytes += size
-            while self.nbytes > self.budget:
-                _, evicted = self._perms.popitem(last=False)
-                self.nbytes -= evicted.index.nbytes
-
-
-_CACHE = _IndexCache(_CACHE_BYTES)
+@lru_cache(maxsize=32)
+def _cached_perm(dims: tuple[int, ...], mapping: tuple[int, ...]) -> IndexPerm:
+    return IndexPerm._from_index(_induced_index(dims, mapping))
 
 
 def induced_index_perm(dims: DimList, sigma: Sigma) -> IndexPerm:
@@ -325,10 +292,6 @@ def induced_index_perm(dims: DimList, sigma: Sigma) -> IndexPerm:
     Raises :class:`CapacityError` above :data:`IMPLICIT_BOUND` entries,
     before anything is allocated.
     """
-    key = (dims.dims, sigma.mapping)
-    perm = _CACHE.get(key)
-    if perm is not None:
-        return perm
     if len(sigma) != len(dims):
         raise ValueError(
             f"sigma has {len(sigma)} positions but there are {len(dims)} factors"
@@ -336,6 +299,6 @@ def induced_index_perm(dims: DimList, sigma: Sigma) -> IndexPerm:
     n = dims.size
     if n > IMPLICIT_BOUND:
         raise CapacityError(f"implicit order {n} exceeds implicit bound {IMPLICIT_BOUND}")
-    perm = IndexPerm._from_index(_induced_index(*key))
-    _CACHE.put(key, perm)
-    return perm
+    if n <= _CACHED_ORDER:
+        return _cached_perm(dims.dims, sigma.mapping)
+    return IndexPerm._from_index(_induced_index(dims.dims, sigma.mapping))

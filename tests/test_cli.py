@@ -1,13 +1,14 @@
 import contextlib
 import io
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorperm import build_delta, tcm_spec
+from tensorperm import build_delta, index_algebra, tcm_spec
 from tensorperm.cli import main
 from tensorperm.formats import format_scalar, parse_matrix_market
 
@@ -188,6 +189,29 @@ def test_decompose_capacity(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-3", "+1e-3", "1_0",
+                                   "\u0660.\u0666", " 1", "1e400",
+                                   pytest.param("1" + "0" * 400, id="10**400")])
+def test_decompose_tolerance_must_be_finite_and_not_negative(value, capsys):
+    # the = form, so that argparse does not take "-inf" for a flag
+    code, out, err = run_cli(["decompose", "--n", "2", f"--tolerance={value}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("tensorperm decompose: error: argument --tolerance: ")
+
+
+def test_decompose_tolerance_reads_the_writers_spellings(capsys):
+    default = run_cli(["decompose", "--n", "3"], capsys)
+    assert run_cli(["decompose", "--n", "3", "--tolerance", "1e-10"], capsys) == default
+    for value in ("0", "-0", "0.25", "2.5e-07"):
+        assert run_cli(["decompose", "--n", "2", "--tolerance", value], capsys) == (
+            0, "n 2\nc00 0.5\n1 1 0.5 0\n2 2 0.5 0\n3 3 0.5 0\n", "")
+    assert run_cli(["decompose", "--n", "2", "--tolerance", "3"], capsys) == (0, "n 2\nc00 0.5\n", "")
+    code, _, err = run_cli(["decompose", "--n", "2", "--tolerance", "abc"], capsys)
+    assert code == 2
+    assert err.splitlines()[-1].endswith("argument --tolerance: invalid float value: 'abc'")
+
+
 def test_apply_swap(tmp_path, capsys):
     vec = tmp_path / "v.txt"
     vec.write_text("".join(f"{i}\n" for i in range(1, 7)))
@@ -262,6 +286,19 @@ def test_bench_skips_dense_beyond_bound(capsys):
     assert out.splitlines()[-1].endswith("dense_ns=skipped")
 
 
+def test_bench_builds_its_permutation_once(monkeypatch, capsys):
+    # 1025 * 1024 entries is past the cached orders, so each apply_perm
+    # would build the index again
+    builds = []
+    build = index_algebra._induced_index
+    monkeypatch.setattr(index_algebra, "_induced_index",
+                        lambda dims, mapping: builds.append(dims) or build(dims, mapping))
+    code, out, _ = run_cli(["bench", "--dims", "1025,1024", "--reps", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[0].startswith("implicit apply: ")
+    assert builds == [(1025, 1024)]
+
+
 def test_bench_rejects_zero_reps(capsys):
     code, _, err = run_cli(["bench", "--dims", "2,2", "--reps", "0"], capsys)
     assert code == 2
@@ -311,6 +348,18 @@ def test_vector_text_the_writers_never_emit_exits_2(tmp_path, capsys):
         assert code == 2, text
         assert out == ""
         assert err.startswith("error: cannot parse vector entry") and err.count("\n") == 1
+
+
+def test_vector_entry_past_the_int_digit_limit_exits_2(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integer text of any length")
+    vec = tmp_path / "v.txt"
+    vec.write_text("9" * (limit + 1))
+    code, out, err = run_cli(["apply", "--dims", "1", "--input", str(vec)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_vector_entries_round_trip_the_writers_spellings(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorperm import (
     DEFAULT_DENSE_BOUND,
@@ -184,3 +186,80 @@ def test_matrix_market_parser_rejects_integer_text_the_writer_never_emits(entry)
     with pytest.raises(ValueError) as info:
         parse_matrix_market(f"%%MatrixMarket matrix coordinate integer general\n{entry}\n")
     assert "\n" not in str(info.value)
+
+
+# characters the parsers must refuse or handle beside the writers' own
+_EDIT_CHARS = "0123456789 \n\t-+_%x.\u0662\u00a0"
+
+
+@st.composite
+def _edited(draw, text):
+    """The writer's text with up to three characters deleted, inserted or replaced."""
+    chars = list(text)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(["delete", "insert", "replace"]))
+        if op == "insert" or at == len(chars):
+            chars.insert(at, draw(st.sampled_from(_EDIT_CHARS)))
+        elif op == "delete":
+            del chars[at]
+        else:
+            chars[at] = draw(st.sampled_from(_EDIT_CHARS))
+    return "".join(chars)
+
+
+_perm_texts = st.one_of(
+    st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(lambda cols: write_perm(IndexPerm(cols))).flatmap(_edited),
+    st.lists(st.integers(-1, 2**70), min_size=1, max_size=4).map(
+        lambda cols: f"{len(cols)}\n" + " ".join(map(str, cols)) + "\n"
+    ),
+    st.text(alphabet=_EDIT_CHARS, max_size=30),
+    st.text(max_size=30),
+)
+
+_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1)).map(
+    lambda args: np.random.default_rng(args[2]).choice(
+        np.array([0, 0, 1, -1, 7, -(2**63), 2**63 - 1], dtype=np.int64), size=args[:2]
+    )
+)
+_mm_texts = st.one_of(
+    _matrices.map(write_matrix_market).flatmap(_edited),
+    st.text(alphabet=_EDIT_CHARS, max_size=30).map(
+        lambda body: "%%MatrixMarket matrix coordinate integer general\n" + body
+    ),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_perm_texts)
+def test_fuzz_perm_text(text):
+    try:
+        perm = parse_perm(text)
+    except (ValueError, CapacityError) as exc:
+        assert "\n" not in str(exc)
+        return
+    assert parse_perm(write_perm(perm)) == perm
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mm_texts)
+def test_fuzz_matrix_market_text(text):
+    try:
+        m = parse_matrix_market(text)
+    except (ValueError, CapacityError) as exc:
+        assert "\n" not in str(exc)
+        return
+    assert m.dtype == np.int64
+    assert np.array_equal(parse_matrix_market(write_matrix_market(m)), m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))), _matrices)
+def test_writer_text_round_trips(cols, m):
+    text = write_perm(IndexPerm(cols))
+    assert write_perm(parse_perm(text)) == text
+    text = write_matrix_market(m)
+    assert np.array_equal(parse_matrix_market(text), m)
+    assert write_matrix_market(parse_matrix_market(text)) == text

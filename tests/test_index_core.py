@@ -1,8 +1,10 @@
 """The array-native index core: induced permutations built by tensor
-transposition, the array-backed IndexPerm, the byte-bounded cache of induced
-permutations and the implicit size bound."""
+transposition, the array-backed IndexPerm, the lru_cache of induced
+permutations up to 2**20 entries, the memory that reading ``col_of_row``
+leaves held, and the implicit size bound."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,22 +113,33 @@ def test_pickle_round_trip_keeps_value_and_read_only_index():
     assert not back.index.flags.writeable
 
 
-def test_cache_is_bounded_by_index_bytes():
-    item = np.dtype(np.intp).itemsize
-    cache = index_algebra._IndexCache(budget=10 * item)
-    perms = {n: IndexPerm(range(1, n + 1)) for n in (4, 5, 6, 11)}
-    cache.put("a", perms[4])
-    cache.put("b", perms[5])
-    assert cache.get("a") is perms[4]  # "b" is now the least recently used
-    cache.put("c", perms[6])
-    assert cache.get("b") is None
-    assert cache.get("a") is perms[4] and cache.get("c") is perms[6]
-    assert cache.nbytes == 10 * item
-    cache.put("d", perms[11])  # larger than the whole budget: not kept
-    assert cache.get("d") is None
-    assert cache.nbytes == 10 * item
-    cache.put("a", perms[4])  # re-inserting a key does not count it twice
-    assert cache.nbytes == 10 * item
+def test_cache_keeps_32_orders_up_to_2_pow_20(monkeypatch):
+    builds = []
+    build = index_algebra._induced_index
+    monkeypatch.setattr(index_algebra, "_induced_index",
+                        lambda dims, mapping: builds.append(dims) or build(dims, mapping))
+    index_algebra._cached_perm.cache_clear()
+    largest_cached = DimList((2**10, 2**10))
+    perm = induced_index_perm(largest_cached, Sigma((2, 1)))
+    assert induced_index_perm(largest_cached, Sigma((2, 1))) is perm
+    past = DimList((2**20 + 1,))
+    assert induced_index_perm(past, Sigma((1,))) == induced_index_perm(past, Sigma((1,)))
+    assert builds == [(2**10, 2**10), (2**20 + 1,), (2**20 + 1,)]
+    assert index_algebra._cached_perm.cache_info().maxsize == 32
+
+
+def test_reading_col_of_row_leaves_nothing_held():
+    spec = DimList((100, 100, 100)), Sigma((3, 1, 2))
+    perm = induced_index_perm(*spec)
+    assert induced_index_perm(*spec) is perm  # cached
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(perm.col_of_row) == 10**6
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
 
 
 class _Reached(Exception):
