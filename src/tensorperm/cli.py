@@ -22,6 +22,7 @@ from .index_algebra import DimList, Sigma, induced_index_perm
 from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, _check_capacity, kron
 from .perm_matrix import (
     TensorPermSpec,
+    _swaps,
     apply as apply_perm,
     build_delta,
     build_elementary_sum,
@@ -117,7 +118,8 @@ def _cmd_verify(args) -> int:
         relocation = relocation and np.array_equal(got, want)
 
     conjugation = all(
-        commutation_conjugation_check(spec, [rng.integers(-9, 10, (d, d)) for d in dims])
+        commutation_conjugation_check(spec, [rng.integers(-9, 10, (d, d)) for d in dims],
+                                      dense_bound=args.dense_bound)
         for _ in range(_VERIFY_SAMPLES)
     )
 
@@ -141,14 +143,12 @@ def _cmd_classify(args) -> int:
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
     _check_capacity(order, args.dense_bound)
-    factorizations = [(n, order // n) for n in range(1, order + 1) if order % n == 0]
-    perms = {pair: induced_index_perm(DimList(pair), Sigma((2, 1))) for pair in factorizations}
+    perms = _swaps(order)
     labels_of = {}  # IndexPerm equality and hashing are by value
     for pair, perm in perms.items():
         labels_of.setdefault(perm, []).append(pair)
     identity = perms[(1, order)]  # U[1(x)N] moves nothing
-    for n, p in factorizations:
-        perm = perms[(n, p)]
+    for (n, p), perm in perms.items():
         marks = []
         if perm == identity:
             marks.append("identity")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .index_algebra import IndexPerm
 from .gellmann import SwapDecomposition
-from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError
+from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, int_matrix
 
 __all__ = [
     "MM_HEADER",
@@ -75,11 +75,7 @@ def format_scalar(x) -> str:
 def write_matrix_market(m) -> str:
     """Coordinate Matrix Market text: header, size line, then 1-based
     ``row col value`` lines sorted by row then column."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError("matrix market writer needs a 2-d matrix")
-    if m.dtype.kind not in "iu":
-        raise ValueError("matrix market writer emits integer matrices only")
+    m = int_matrix(m)
     rows, cols = m.shape
     entries = np.argwhere(m != 0)
     lines = [MM_HEADER, f"{rows} {cols} {len(entries)}"]
@@ -111,10 +107,7 @@ def parse_matrix_market(text: str) -> np.ndarray:
     rows, cols, nnz = map(int, size.groups())
     if rows < 1 or cols < 1:
         raise ValueError(f"bad size line: {body[0]!r}")
-    if max(rows, cols) > DEFAULT_DENSE_BOUND:
-        raise CapacityError(
-            f"dense shape {rows}x{cols} exceeds dense bound {DEFAULT_DENSE_BOUND}"
-        )
+    _check_capacity(max(rows, cols), DEFAULT_DENSE_BOUND)
     if len(body) - 1 != nnz:
         raise ValueError(f"expected {nnz} coordinate lines, found {len(body) - 1}")
     m = np.zeros((rows, cols), dtype=np.int64)
@@ -161,17 +154,15 @@ def parse_perm(text: str) -> IndexPerm:
 
 
 def write_dense(m) -> str:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.dtype.kind not in "iu":
-        raise ValueError("dense writer needs a 2-d integer matrix")
+    m = int_matrix(m)
     return "\n".join(" ".join(str(v) for v in row) for row in m.tolist()) + "\n"
 
 
 def write_blocks(m, block: int) -> str:
     """Nested display: row-blocks of ``block`` x ``block`` sub-blocks, with a
     blank line between row-blocks. Display only, not meant to be re-parsed."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = int_matrix(m)
+    if m.shape[0] != m.shape[1]:
         raise ValueError("block writer needs a square matrix")
     size = m.shape[0]
     if block < 1 or size % block:

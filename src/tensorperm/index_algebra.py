@@ -84,10 +84,7 @@ class DimList:
 
     def permuted(self, sigma: "Sigma") -> "DimList":
         """The reordered list (n_sigma(1), ..., n_sigma(k))."""
-        if len(sigma) != len(self.dims):
-            raise ValueError(
-                f"sigma has {len(sigma)} positions but there are {len(self.dims)} factors"
-            )
+        _check_arity(self, sigma)
         return DimList(tuple(self.dims[s - 1] for s in sigma.mapping))
 
 
@@ -131,6 +128,12 @@ class Sigma:
         if len(other) != len(self):
             raise ValueError("cannot compose permutations of different lengths")
         return Sigma(tuple(self.mapping[v - 1] for v in other.mapping))
+
+
+def _check_arity(dims, sigma) -> None:
+    """Refuse a sigma whose length is not the number of factors."""
+    if len(sigma) != len(dims):
+        raise ValueError(f"sigma has {len(sigma)} positions but there are {len(dims)} factors")
 
 
 def _flatten(dims: tuple[int, ...], parts: tuple[int, ...]) -> int:
@@ -292,10 +295,7 @@ def induced_index_perm(dims: DimList, sigma: Sigma) -> IndexPerm:
     Raises :class:`CapacityError` above :data:`IMPLICIT_BOUND` entries,
     before anything is allocated.
     """
-    if len(sigma) != len(dims):
-        raise ValueError(
-            f"sigma has {len(sigma)} positions but there are {len(dims)} factors"
-        )
+    _check_arity(dims, sigma)
     n = dims.size
     if n > IMPLICIT_BOUND:
         raise CapacityError(f"implicit order {n} exceeds implicit bound {IMPLICIT_BOUND}")

@@ -5,9 +5,9 @@ Matrices are plain numpy arrays in one of two domains: exact integers
 compared within an explicit tolerance). Floating real arrays are rejected
 so that every comparison is either exact or deliberately toleranced.
 
-Integer arithmetic here is exact as long as magnitudes stay inside int64;
-everything at the intended desk scale (dimension bound 4096, small integer
-entries) is many orders of magnitude below that limit.
+Integer results are exact: unsigned entries past int64 are refused rather
+than wrapped, and :func:`kron` and :func:`matmul` refuse integer inputs whose
+product could leave int64.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ DEFAULT_DENSE_BOUND = 4096
 
 INT_DOMAIN = "int"
 COMPLEX_DOMAIN = "complex"
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class CapacityError(Exception):
@@ -55,13 +56,12 @@ def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got {m.ndim}-d data")
-    if m.dtype.kind in "iu":
-        return m.astype(np.int64, copy=False)
-    if m.dtype.kind == "c":
+    if domain_of(m) == COMPLEX_DOMAIN:
         return m.astype(np.complex128, copy=False)
-    raise ValueError(
-        f"unsupported scalar domain {m.dtype}: use exact integers or complex floats"
-    )
+    # uint64 is the one integer dtype whose values can leave int64
+    if m.dtype == np.uint64 and m.size and int(m.max()) > _INT64_MAX:
+        raise ValueError(f"integer entry {int(m.max())} is out of int64 range")
+    return m.astype(np.int64, copy=False)
 
 
 def int_matrix(rows) -> np.ndarray:
@@ -74,20 +74,17 @@ def int_matrix(rows) -> np.ndarray:
 
 def complex_matrix(rows) -> np.ndarray:
     """Complex-float matrix from nested sequences (real input is promoted)."""
-    m = np.asarray(rows)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got {m.ndim}-d data")
-    return m.astype(np.complex128)
+    return _as_matrix(np.array(rows, dtype=np.complex128))
 
 
 def domain_of(a: np.ndarray) -> str:
     """Scalar domain tag of a matrix: 'int' or 'complex'."""
-    kind = np.asarray(a).dtype.kind
-    if kind in "iu":
+    dtype = np.asarray(a).dtype
+    if dtype.kind in "iu":
         return INT_DOMAIN
-    if kind == "c":
+    if dtype.kind == "c":
         return COMPLEX_DOMAIN
-    raise ValueError(f"unsupported scalar domain {np.asarray(a).dtype}")
+    raise ValueError(f"unsupported scalar domain {dtype}: use exact integers or complex floats")
 
 
 def _common_domain(a: np.ndarray, b: np.ndarray) -> str:
@@ -97,24 +94,36 @@ def _common_domain(a: np.ndarray, b: np.ndarray) -> str:
     return da
 
 
+def _check_int64(a: np.ndarray, b: np.ndarray, terms: int) -> None:
+    """Refuse integer operands whose sums of ``terms`` entrywise products
+    could leave int64, before any product is formed."""
+    bound = terms
+    for m in (a, b):
+        # Python ints, since abs() of the int64 minimum wraps in numpy
+        bound *= max(-int(m.min()), int(m.max())) if m.size else 0
+    if bound > _INT64_MAX:
+        raise ValueError(f"integer entries could reach {bound}, past int64")
+
+
 def kron(a, b, dense_bound: int = DEFAULT_DENSE_BOUND) -> np.ndarray:
     """Kronecker product: the block matrix whose (i, j) block is a[i, j] * b."""
     a, b = _as_matrix(a), _as_matrix(b)
-    _common_domain(a, b)
+    domain = _common_domain(a, b)
     ra, ca = a.shape
     rb, cb = b.shape
-    if ra * rb > dense_bound or ca * cb > dense_bound:
-        raise CapacityError(
-            f"kron result {ra * rb}x{ca * cb} exceeds dense bound {dense_bound}"
-        )
+    _check_capacity(max(ra * rb, ca * cb), dense_bound)
+    if domain == INT_DOMAIN:
+        _check_int64(a, b, 1)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def matmul(a, b) -> np.ndarray:
     a, b = _as_matrix(a), _as_matrix(b)
-    _common_domain(a, b)
+    domain = _common_domain(a, b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
+    if domain == INT_DOMAIN:
+        _check_int64(a, b, a.shape[1])
     return a @ b
 
 
@@ -182,9 +191,7 @@ def kron_basis_rank(n: int, m: int, p: int, r: int,
     a basis of the (n*p) x (m*r) matrices."""
     if min(n, m, p, r) < 1:
         raise ValueError("all dimensions must be >= 1")
-    total = n * m * p * r
-    if total > dense_bound:
-        raise CapacityError(f"stacked basis size {total} exceeds dense bound {dense_bound}")
+    _check_capacity(n * m * p * r, dense_bound)
     stacked = []
     for i in range(1, n + 1):
         for j in range(1, m + 1):

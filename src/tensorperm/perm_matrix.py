@@ -31,7 +31,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .index_algebra import DimList, Sigma, _flatten, induced_index_perm
+from .index_algebra import DimList, IndexPerm, Sigma, _check_arity, _flatten, induced_index_perm
 from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, domain_of, kron, matrices_close
 
 __all__ = [
@@ -62,10 +62,7 @@ class TensorPermSpec:
             object.__setattr__(self, "dims", DimList(tuple(self.dims)))
         if not isinstance(self.sigma, Sigma):
             object.__setattr__(self, "sigma", Sigma(tuple(self.sigma)))
-        if len(self.sigma) != len(self.dims):
-            raise ValueError(
-                f"sigma has {len(self.sigma)} positions but there are {len(self.dims)} factors"
-            )
+        _check_arity(self.dims, self.sigma)
 
     @property
     def size(self) -> int:
@@ -176,7 +173,8 @@ def apply(spec: TensorPermSpec, v):
     return induced_index_perm(spec.dims, spec.sigma).apply(v)
 
 
-def commutation_conjugation_check(spec: TensorPermSpec, matrices) -> bool:
+def commutation_conjugation_check(spec: TensorPermSpec, matrices,
+                                  dense_bound: int = DEFAULT_DENSE_BOUND) -> bool:
     """True iff U . (A1 (x) ... (x) Ak) = (A_sigma(1) (x) ... (x) A_sigma(k)) . U
     holds, with A_t square of size dims[t] and all factors in one of the two
     scalar domains: exactly for integers, and for complex floats within
@@ -187,6 +185,7 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices) -> bool:
     U . K . U^T is K with its rows and columns both gathered through U's
     index permutation, so no matrix product is formed.
     """
+    _check_capacity(spec.size, dense_bound)
     mats = [np.asarray(a) for a in matrices]
     dims = spec.dims.dims
     if len(mats) != len(dims):
@@ -195,10 +194,9 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices) -> bool:
         if a.shape != (d, d):
             raise ValueError(f"matrix {t} must be {d}x{d}, got {a.shape}")
         domain_of(a)  # a single factor never reaches kron's domain check
-    # the factor shapes checked above fix the product's order at spec.size
-    kron_to_size = partial(kron, dense_bound=spec.size)
-    forward = reduce(kron_to_size, mats)
-    permuted = reduce(kron_to_size, [mats[s - 1] for s in spec.sigma.mapping])
+    kron_within_bound = partial(kron, dense_bound=dense_bound)
+    forward = reduce(kron_within_bound, mats)
+    permuted = reduce(kron_within_bound, [mats[s - 1] for s in spec.sigma.mapping])
     index = induced_index_perm(spec.dims, spec.sigma).index
     conjugated = forward[index][:, index]
     if not np.iscomplexobj(permuted):
@@ -215,6 +213,12 @@ def is_permutation_matrix(m) -> bool:
     if not np.isin(m, (0, 1)).all():
         return False
     return bool((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all())
+
+
+def _swaps(order: int) -> dict[tuple[int, int], IndexPerm]:
+    """The index permutation of U[n(x)p] for each n * p == order, by increasing n."""
+    return {(n, order // n): induced_index_perm(DimList((n, order // n)), Sigma((2, 1)))
+            for n in range(1, order + 1) if order % n == 0}
 
 
 def classify_tcm(m) -> list[TcmLabel]:
@@ -234,14 +238,8 @@ def classify_tcm(m) -> list[TcmLabel]:
     if order == 0 or not (m.sum(axis=1) == 1).all():
         return []
     cols = m.argmax(axis=1)
-    labels = []
-    for n in range(1, order + 1):
-        if order % n:
-            continue
-        p = order // n
-        if np.array_equal(cols, induced_index_perm(DimList((n, p)), Sigma((2, 1))).index):
-            labels.append(TcmLabel(n, p))
-    return labels
+    return [TcmLabel(n, p) for (n, p), perm in _swaps(order).items()
+            if np.array_equal(cols, perm.index)]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tensorperm import (
+    CapacityError,
     TcmLabel,
     TensorPermSpec,
     build_stride_rule,
@@ -106,6 +107,16 @@ def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
 
     monkeypatch.setattr(perm_matrix, "kron", kron_perturbing_k_prime)
     assert not commutation_conjugation_check(spec, mats)
+
+
+def test_conjugation_takes_a_dense_bound(monkeypatch):
+    mats = [np.arange(9).reshape(3, 3), np.arange(4).reshape(2, 2)]
+    assert commutation_conjugation_check(tcm_spec(3, 2), mats, dense_bound=6)
+    calls = []
+    monkeypatch.setattr(perm_matrix, "kron", lambda *args, **kwargs: calls.append(1))
+    with pytest.raises(CapacityError, match="dense order 6 exceeds dense bound 5"):
+        commutation_conjugation_check(tcm_spec(3, 2), mats, dense_bound=5)
+    assert not calls  # refused before any Kronecker product
 
 
 @pytest.mark.parametrize("mats", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorperm import build_delta, index_algebra, tcm_spec
+from tensorperm import build_delta, cli, index_algebra, tcm_spec
 from tensorperm.cli import main
 from tensorperm.formats import format_scalar, parse_matrix_market
 
@@ -125,6 +125,18 @@ def test_verify_capacity(capsys):
     code, _, err = run_cli(["verify", "--dims", "100,100"], capsys)
     assert code == 3
     assert "dense bound" in err
+
+
+def test_verify_passes_its_dense_bound_to_the_conjugation_check(monkeypatch, capsys):
+    bounds = []
+
+    def check(spec, matrices, dense_bound):
+        bounds.append(dense_bound)
+        return True
+
+    monkeypatch.setattr(cli, "commutation_conjugation_check", check)
+    code, _, _ = run_cli(["verify", "--dims", "3,2", "--dense-bound", "7"], capsys)
+    assert code == 0 and bounds and set(bounds) == {7}
 
 
 def test_classify_order_12(capsys):

@@ -105,6 +105,11 @@ def test_blocks_format_divisibility():
         write_blocks(build_delta(tcm_spec(3, 2)), block=4)
 
 
+def test_blocks_format_refuses_float_matrices():
+    with pytest.raises(ValueError, match="domain"):
+        write_blocks(np.array([[1.5, 0], [0, 1]]), 1)
+
+
 def test_decomposition_format_n2():
     text = write_decomposition(decompose_swap(2), tol=1e-10)
     assert text == "n 2\nc00 0.5\n1 1 0.5 0\n2 2 0.5 0\n3 3 0.5 0\n"
@@ -172,6 +177,14 @@ def test_matrix_market_parser_accepts_the_bound():
     m = parse_matrix_market(text)
     assert m.shape == (DEFAULT_DENSE_BOUND, 1)
     assert m[1, 0] == 5 and int(m.sum()) == 5
+
+
+def test_matrix_market_writer_refuses_unsigned_values_past_int64():
+    # the parser stores int64, so the writer may emit only what fits
+    with pytest.raises(ValueError, match="int64"):
+        write_matrix_market(np.array([[2**64 - 1]], dtype=np.uint64))
+    small = np.array([[0, 7]], dtype=np.uint64)
+    assert parse_matrix_market(write_matrix_market(small)).tolist() == [[0, 7]]
 
 
 def test_matrix_market_parser_rejects_values_past_int64():

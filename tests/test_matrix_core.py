@@ -248,6 +248,28 @@ def test_float_matrices_are_rejected():
         kron(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("call", [
+    int_matrix,
+    lambda m: kron(m, _eye(1)),
+    lambda m: matrices_equal(m, int_matrix([[-2**63]])),
+], ids=["int_matrix", "kron", "matrices_equal"])
+def test_unsigned_entries_past_int64_are_refused_not_wrapped(call):
+    with pytest.raises(ValueError, match="int64"):
+        call(np.array([[2**63]], dtype=np.uint64))
+    assert int_matrix(np.array([[2**63 - 1]], dtype=np.uint64)).tolist() == [[2**63 - 1]]
+
+
+def test_integer_products_that_could_leave_int64_are_refused():
+    # numpy wraps both of these to [[0]]
+    with pytest.raises(ValueError, match="int64"):
+        kron([[2**62]], [[4]])
+    with pytest.raises(ValueError, match="int64"):
+        matmul([[2**31, 2**31]], [[2**31], [2**31]])
+    # the bound is max|a| * max|b| (times the inner size), so the edge passes
+    assert kron([[2**62 - 1]], [[-2]]).tolist() == [[-(2**63 - 2)]]
+    assert matmul([[2**30, 2**30]], [[2**31], [2**31]]).tolist() == [[2**62]]
+
+
 def test_domain_tags():
     assert domain_of(int_matrix([[1]])) == "int"
     assert domain_of(complex_matrix([[1]])) == "complex"
