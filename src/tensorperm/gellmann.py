@@ -135,8 +135,8 @@ def decompose_swap(n: int, dense_bound: int = DEFAULT_DENSE_BOUND) -> SwapDecomp
     if n < 2:
         raise ValueError(f"swap decomposition needs a factor dimension of at least 2, got {n}")
     _check_capacity(n * n, dense_bound)
-    basis = generalized_gellmann(n).with_identity()
-    flat = np.stack(basis).reshape(len(basis), n * n)
+    # one expression, so the list of n^2 basis matrices is freed before the gather
+    flat = np.stack(generalized_gellmann(n).with_identity()).reshape(n * n, n * n)
     swap = induced_index_perm(DimList((n, n)), Sigma((2, 1)))
     gram = flat[:, swap.index] @ flat.T
     norms = gram.diagonal().real

@@ -270,12 +270,27 @@ class IndexPerm:
         return IndexPerm._from_index(other._index[self._index])
 
 
+def _factor_axes(dims: tuple[int, ...], mapping: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """The factor dimensions without their size-1 factors, and the axis order
+    that moves axis sigma(t) to position t on that shape.
+
+    A size-1 factor moves no index, so dropping it leaves the transposition
+    unchanged; every kept factor is at least 2, so at most log2(N) axes
+    remain, well inside numpy's limit on the number of axes.
+    """
+    axis_of = {}
+    for t, n in enumerate(dims):
+        if n > 1:
+            axis_of[t] = len(axis_of)
+    return tuple(dims[t] for t in axis_of), [axis_of[s - 1] for s in mapping if s - 1 in axis_of]
+
+
 def _induced_index(dims: tuple[int, ...], mapping: tuple[int, ...]) -> np.ndarray:
     # Entry j of arange(N).reshape(dims) is the 0-based column of multi-index
     # j; moving axis sigma(t) to position t and reading the result in row
     # order gives, for each row i, the column with j_sigma(t) = i_t.
-    axes = [s - 1 for s in mapping]
-    return np.arange(prod(dims), dtype=np.intp).reshape(dims).transpose(axes).ravel()
+    shape, axes = _factor_axes(dims, mapping)
+    return np.arange(prod(dims), dtype=np.intp).reshape(shape).transpose(axes).ravel()
 
 
 @lru_cache(maxsize=32)

@@ -31,7 +31,8 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .index_algebra import DimList, IndexPerm, Sigma, _check_arity, _flatten, induced_index_perm
+from .index_algebra import (DimList, IndexPerm, Sigma, _check_arity, _factor_axes, _flatten,
+                            induced_index_perm)
 from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, domain_of, kron, matrices_close
 
 __all__ = [
@@ -181,9 +182,11 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     4 * k * eps * max|K'| for k factors, since the two Kronecker products
     multiply each entry's factors in different orders.
 
-    Since U is a permutation matrix, the identity is U . K . U^T = K', and
-    U . K . U^T is K with its rows and columns both gathered through U's
-    index permutation, so no matrix product is formed.
+    Since U is a permutation matrix, the identity is U . K . U^T = K'. Read
+    as a tensor with one axis per factor for its rows and one per factor for
+    its columns, K = A1 (x) ... (x) Ak becomes U . K . U^T when both axis
+    groups are reordered by sigma, so the left side is a strided view of K
+    with no index gather and no matrix product.
     """
     _check_capacity(spec.size, dense_bound)
     mats = [np.asarray(a) for a in matrices]
@@ -197,12 +200,30 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     kron_within_bound = partial(kron, dense_bound=dense_bound)
     forward = reduce(kron_within_bound, mats)
     permuted = reduce(kron_within_bound, [mats[s - 1] for s in spec.sigma.mapping])
-    index = induced_index_perm(spec.dims, spec.sigma).index
-    conjugated = forward[index][:, index]
+    shape, axes = _factor_axes(dims, spec.sigma.mapping)
+    out_shape = tuple(shape[a] for a in axes)
+    conjugated = forward.reshape(shape + shape).transpose(axes + [a + len(shape) for a in axes])
     if not np.iscomplexobj(permuted):
-        return bool(np.array_equal(conjugated, permuted))
+        return bool(np.array_equal(conjugated, permuted.reshape(out_shape + out_shape)))
     tol = 4 * len(mats) * np.finfo(np.float64).eps * np.abs(permuted).max()
-    return matrices_close(conjugated, permuted, tol)
+    return matrices_close(conjugated.reshape(permuted.shape), permuted, tol)
+
+
+def _row_ones(m: np.ndarray) -> np.ndarray | None:
+    """Column of each row's 1 in a square matrix whose only nonzero entries
+    are one 1 per row; None for any other square matrix.
+
+    Each row's largest entry must be a 1; with those N ones in place, a count
+    of N nonzero entries leaves room for no other, so no entry needs testing
+    against the set {0, 1}.
+    """
+    n = m.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.intp)
+    cols = m.argmax(axis=1)
+    if np.count_nonzero(m) != n or not (m[np.arange(n), cols] == 1).all():
+        return None
+    return cols
 
 
 def is_permutation_matrix(m) -> bool:
@@ -210,9 +231,12 @@ def is_permutation_matrix(m) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    if not np.isin(m, (0, 1)).all():
+    cols = _row_ones(m)
+    if cols is None:
         return False
-    return bool((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all())
+    hit = np.zeros(m.shape[0], dtype=bool)
+    hit[cols] = True
+    return bool(hit.all())
 
 
 def _swaps(order: int) -> dict[tuple[int, int], IndexPerm]:
@@ -231,14 +255,13 @@ def classify_tcm(m) -> list[TcmLabel]:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("classification needs a square matrix")
-    if not np.isin(m, (0, 1)).all():
+    if np.count_nonzero(m == 1) != np.count_nonzero(m):
         raise ValueError("classification needs a 0/1 matrix")
-    order = m.shape[0]
     # with exactly one 1 in each row, m is fixed by the column of each row's 1
-    if order == 0 or not (m.sum(axis=1) == 1).all():
+    cols = _row_ones(m)
+    if cols is None:
         return []
-    cols = m.argmax(axis=1)
-    return [TcmLabel(n, p) for (n, p), perm in _swaps(order).items()
+    return [TcmLabel(n, p) for (n, p), perm in _swaps(m.shape[0]).items()
             if np.array_equal(cols, perm.index)]
 
 

@@ -8,7 +8,15 @@ import math
 
 import numpy as np
 
-from tensorperm import ClosureReport, build_stride_rule, generalized_gellmann
+from tensorperm import (
+    ClosureReport,
+    DimList,
+    Sigma,
+    TcmLabel,
+    build_stride_rule,
+    generalized_gellmann,
+    induced_index_perm,
+)
 from tensorperm.index_algebra import _flatten, _unflatten
 
 
@@ -144,3 +152,30 @@ def dense_trace_decomposition(n):
         for b, right in enumerate(basis):
             table[a, b] = np.sum(u.T * np.kron(left, right)) / (norms[a] * norms[b])
     return table
+
+
+def isin_is_permutation_matrix(m):
+    """is_permutation_matrix by an entry-set test and row and column sums."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    if not np.isin(m, (0, 1)).all():
+        return False
+    return bool((m.sum(axis=0) == 1).all() and (m.sum(axis=1) == 1).all())
+
+
+def isin_classify_tcm(m):
+    """classify_tcm by an entry-set test, row sums, and a compare of the
+    column of each row's 1 with every swap's index permutation."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("classification needs a square matrix")
+    if not np.isin(m, (0, 1)).all():
+        raise ValueError("classification needs a 0/1 matrix")
+    order = m.shape[0]
+    if order == 0 or not (m.sum(axis=1) == 1).all():
+        return []
+    cols = m.argmax(axis=1)
+    swaps = [(n, order // n) for n in range(1, order + 1) if order % n == 0]
+    return [TcmLabel(n, p) for n, p in swaps
+            if np.array_equal(cols, induced_index_perm(DimList((n, p)), Sigma((2, 1))).index)]

@@ -3,6 +3,8 @@ algebra oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorperm import (
     CapacityError,
@@ -13,12 +15,18 @@ from tensorperm import (
     closure_check,
     commutation_conjugation_check,
     decompose_swap,
+    is_permutation_matrix,
     kron,
     perm_matrix,
     tcm_spec,
 )
 
-from oracles import dense_closure, dense_trace_decomposition
+from oracles import (
+    dense_closure,
+    dense_trace_decomposition,
+    isin_classify_tcm,
+    isin_is_permutation_matrix,
+)
 
 
 def test_closure_matches_dense_products_up_to_64():
@@ -55,6 +63,48 @@ def test_classify_matches_dense_compare_on_swaps_and_their_products():
 ])
 def test_classify_refuses_zero_one_matrices_that_are_not_permutations(rows):
     assert classify_tcm(np.array(rows, dtype=np.int64)) == []
+
+
+# Entry values per dtype: the two that make a permutation matrix first, then
+# values that must spoil it (NaN, -0.0, which is a zero, and non-0/1 entries).
+_ENTRIES = {
+    np.int64: [0, 1, 2, -1],
+    np.bool_: [False, True],
+    np.float64: [0.0, 1.0, -0.0, np.nan, 0.5, -1.0, np.inf],
+    np.complex128: [0, 1, 1j, 1 + 1j, -1, complex(np.nan, 0), 1 - 1j],
+}
+
+
+@st.composite
+def _small_matrices(draw):
+    dtype = draw(st.sampled_from(list(_ENTRIES)))
+    entries = st.sampled_from(_ENTRIES[dtype])
+    rows = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["permutation", "square", "rectangle", "1-d", "3-d"]))
+    if kind == "permutation":
+        m = np.zeros((rows, rows), dtype=dtype)
+        m[np.arange(rows), draw(st.permutations(range(rows)))] = 1
+        if rows and draw(st.booleans()):
+            m[draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))] = draw(entries)
+        return m
+    shape = {"square": (rows, rows), "rectangle": (rows, draw(st.integers(0, 6))),
+             "1-d": (rows,), "3-d": (rows, rows, draw(st.integers(1, 2)))}[kind]
+    values = draw(st.lists(entries, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+def _outcome(f, m):
+    try:
+        return "result", f(m)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_matrices())
+def test_permutation_checkers_match_their_entry_set_definitions(m):
+    assert _outcome(is_permutation_matrix, m) == _outcome(isin_is_permutation_matrix, m)
+    assert _outcome(classify_tcm, m) == _outcome(isin_classify_tcm, m)
 
 
 def test_decompose_matches_dense_traces():
@@ -107,6 +157,44 @@ def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
 
     monkeypatch.setattr(perm_matrix, "kron", kron_perturbing_k_prime)
     assert not commutation_conjugation_check(spec, mats)
+
+
+@pytest.mark.parametrize("spec", [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1))],
+                         ids=["3x2", "2,3,2"])
+def test_conjugation_rejects_a_perturbed_integer_product(spec, monkeypatch):
+    # The integer twin of the complex case: K' = A_sigma(1) (x) ... comes out
+    # of the last Kronecker product with one entry raised by 1, which the
+    # exact compare of U . K . U^T with K' must catch wherever it lands.
+    rng = np.random.default_rng(11)
+    mats = [rng.integers(-9, 10, (d, d)) for d in spec.dims]
+    assert commutation_conjugation_check(spec, mats)
+    for entry in range(spec.size ** 2):
+        calls = []
+
+        def kron_perturbing_k_prime(a, b, dense_bound):
+            calls.append(1)
+            out = kron(a, b, dense_bound=dense_bound)
+            if len(calls) == 2 * (len(mats) - 1):  # the last product of K'
+                out.flat[entry] += 1
+            return out
+
+        monkeypatch.setattr(perm_matrix, "kron", kron_perturbing_k_prime)
+        assert not commutation_conjugation_check(spec, mats), entry
+
+
+@pytest.mark.parametrize("k", [33, 65])
+def test_conjugation_past_32_factors(k):
+    # 2k axes would pass numpy's 64-axis limit; size-1 factors are dropped.
+    # Their entries are +-1 (or +-1j), so the int64 guard admits the product.
+    rng = np.random.default_rng(k)
+    dims = (2, 3) + (1,) * (k - 2)
+    spec = TensorPermSpec(dims, tuple(rng.permutation(k) + 1))
+    ints = [rng.integers(-9, 10, (d, d)) if d > 1 else rng.choice([-1, 1], (1, 1))
+            for d in dims]
+    assert commutation_conjugation_check(spec, ints)
+    complexes = [_normal_complex(rng, d) if d > 1 else rng.choice([1, -1, 1j, -1j], (1, 1))
+                 for d in dims]
+    assert commutation_conjugation_check(spec, complexes)
 
 
 def test_conjugation_takes_a_dense_bound(monkeypatch):

@@ -41,6 +41,13 @@ def test_gen_sigma_defaults_to_reversal(capsys):
     assert explicit == defaulted
 
 
+def test_gen_past_64_factors(capsys):
+    dims = ",".join(["2", *["1"] * 70, "3"])
+    sigma = ",".join(str(s) for s in range(72, 0, -1))
+    code, out, err = run_cli(["gen", "--dims", dims, "--sigma", sigma], capsys)
+    assert (code, out, err) == (0, "6\n1 4 2 5 3 6\n", "")
+
+
 def test_gen_mm_parses_back(capsys):
     code, out, _ = run_cli(["gen", "--dims", "3,5", "--sigma", "2,1", "--format", "mm"], capsys)
     assert code == 0

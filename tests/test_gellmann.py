@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,20 @@ def test_mixed_coefficients_vanish():
         for a in range(1, n * n):
             assert abs(dec.coefficient(a, 0)) < BASIS_TOL
             assert abs(dec.coefficient(0, a)) < BASIS_TOL
+
+
+def test_decompose_swap_peak_memory():
+    # One copy is the n^2 x n^2 complex128 table (n^4 * 16 bytes). The
+    # flattened basis, its gather through the swap, the Gram product and the
+    # table are needed; the list of n^2 basis matrices must not also be alive.
+    n = 16
+    tracemalloc.start()
+    try:
+        decompose_swap(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n**4 * 16
 
 
 def test_decompose_swap_rejects_small_n():

@@ -14,7 +14,7 @@ from tensorperm import (
     unflatten,
 )
 
-from oracles import all_specs, lex_position, perm_dense
+from oracles import all_specs, induced_cols_per_row, lex_position, perm_dense
 
 
 def test_flatten_first_index_is_one():
@@ -162,6 +162,23 @@ def test_induced_perm_bijective_everywhere():
     for dims, mapping in all_specs(81):
         perm = induced_index_perm(DimList(dims), Sigma(mapping))
         assert perm.n_rows == DimList(dims).size
+
+
+def test_induced_perm_past_64_factors():
+    # one axis per factor would exceed numpy's 64-axis limit; the size-1
+    # factors move no index and are dropped before the transposition
+    dims = (2,) + (1,) * 70 + (3,)
+    mapping = tuple(range(len(dims), 0, -1))
+    perm = induced_index_perm(DimList(dims), Sigma(mapping))
+    assert perm.col_of_row == induced_cols_per_row(dims, mapping) == (1, 4, 2, 5, 3, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=8), st.data())
+def test_induced_perm_with_size_one_factors_matches_per_index_oracle(dims, data):
+    mapping = tuple(data.draw(st.permutations(range(1, len(dims) + 1))))
+    perm = induced_index_perm(DimList(tuple(dims)), Sigma(mapping))
+    assert perm.col_of_row == induced_cols_per_row(dims, mapping)
 
 
 def test_composition_matches_dense_matmul():
