@@ -18,7 +18,7 @@ from functools import cache, partial, reduce
 
 import numpy as np
 
-from .index_algebra import DimList, Sigma, induced_index_perm
+from .index_algebra import DimList, Sigma, _check_implicit, induced_index_perm
 from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, _check_capacity, kron
 from .perm_matrix import (
     TensorPermSpec,
@@ -167,6 +167,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_apply(args) -> int:
     spec = _spec_from_args(args)
+    _check_implicit(spec.size)  # before reading a vector that could never fit
     if args.input == "-":
         text = sys.stdin.read()
     else:

@@ -174,6 +174,12 @@ def unflatten(dims: DimList, s: int) -> tuple[int, ...]:
     return _unflatten(dims.dims, s)
 
 
+def _check_implicit(n: int) -> None:
+    """Refuse an order above :data:`IMPLICIT_BOUND`, before anything is allocated."""
+    if n > IMPLICIT_BOUND:
+        raise CapacityError(f"implicit order {n} exceeds implicit bound {IMPLICIT_BOUND}")
+
+
 def _validated(index: np.ndarray) -> np.ndarray:
     """Freeze a 0-based column index after an O(N) range and scatter check."""
     n = index.size
@@ -312,8 +318,7 @@ def induced_index_perm(dims: DimList, sigma: Sigma) -> IndexPerm:
     """
     _check_arity(dims, sigma)
     n = dims.size
-    if n > IMPLICIT_BOUND:
-        raise CapacityError(f"implicit order {n} exceeds implicit bound {IMPLICIT_BOUND}")
+    _check_implicit(n)
     if n <= _CACHED_ORDER:
         return _cached_perm(dims.dims, sigma.mapping)
     return IndexPerm._from_index(_induced_index(dims.dims, sigma.mapping))

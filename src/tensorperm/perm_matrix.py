@@ -209,19 +209,19 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     return matrices_close(conjugated.reshape(permuted.shape), permuted, tol)
 
 
-def _row_ones(m: np.ndarray) -> np.ndarray | None:
+def _row_ones(m: np.ndarray, nonzero: int) -> np.ndarray | None:
     """Column of each row's 1 in a square matrix whose only nonzero entries
     are one 1 per row; None for any other square matrix.
 
     Each row's largest entry must be a 1; with those N ones in place, a count
-    of N nonzero entries leaves room for no other, so no entry needs testing
-    against the set {0, 1}.
+    of N nonzero entries (``nonzero``, counted by the caller) leaves room for
+    no other, so no entry needs testing against the set {0, 1}.
     """
     n = m.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.intp)
     cols = m.argmax(axis=1)
-    if np.count_nonzero(m) != n or not (m[np.arange(n), cols] == 1).all():
+    if nonzero != n or not (m[np.arange(n), cols] == 1).all():
         return None
     return cols
 
@@ -231,7 +231,7 @@ def is_permutation_matrix(m) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    cols = _row_ones(m)
+    cols = _row_ones(m, np.count_nonzero(m))
     if cols is None:
         return False
     hit = np.zeros(m.shape[0], dtype=bool)
@@ -255,10 +255,11 @@ def classify_tcm(m) -> list[TcmLabel]:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("classification needs a square matrix")
-    if np.count_nonzero(m == 1) != np.count_nonzero(m):
+    nonzero = np.count_nonzero(m)
+    if np.count_nonzero(m == 1) != nonzero:
         raise ValueError("classification needs a 0/1 matrix")
     # with exactly one 1 in each row, m is fixed by the column of each row's 1
-    cols = _row_ones(m)
+    cols = _row_ones(m, nonzero)
     if cols is None:
         return []
     return [TcmLabel(n, p) for (n, p), perm in _swaps(m.shape[0]).items()

@@ -1,7 +1,7 @@
 """The array-native index core: induced permutations built by tensor
-transposition, the array-backed IndexPerm, the lru_cache of induced
-permutations up to 2**20 entries, the memory that reading ``col_of_row``
-leaves held, and the implicit size bound."""
+transposition, the array-backed IndexPerm, ``apply`` on every input kind,
+the lru_cache of induced permutations up to 2**20 entries, the memory that
+reading ``col_of_row`` leaves held, and the implicit size bound."""
 
 import pickle
 import tracemalloc
@@ -17,7 +17,10 @@ from tensorperm import (
     DimList,
     IndexPerm,
     Sigma,
+    TensorPermSpec,
+    apply,
     induced_index_perm,
+    tcm_spec,
 )
 from tensorperm import index_algebra
 from tensorperm.cli import main
@@ -113,6 +116,48 @@ def test_pickle_round_trip_keeps_value_and_read_only_index():
     assert not back.index.flags.writeable
 
 
+_APPLY_INPUTS = {
+    "int64": lambda n: np.arange(n, dtype=np.int64) - 3,
+    "float64": lambda n: np.linspace(-1.5, 2.5, n),
+    "complex": lambda n: np.arange(n) * (1 - 2j),
+    "2-d": lambda n: np.arange(3 * n, dtype=np.int32).reshape(n, 3),
+    "list": lambda n: [10**30 + i for i in range(n)],
+    "tuple": lambda n: tuple(float(i) + 0.5 for i in range(n)),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs(), st.sampled_from(sorted(_APPLY_INPUTS)))
+def test_apply_matches_a_gather_through_the_per_row_reference(spec, kind):
+    dims, mapping = spec
+    v = _APPLY_INPUTS[kind](int(np.prod(dims)))
+    cols = [c - 1 for c in induced_cols_per_row(dims, mapping)]
+    out = apply(TensorPermSpec(DimList(dims), Sigma(mapping)), v)
+    if isinstance(v, np.ndarray):
+        assert type(out) is np.ndarray and out.dtype == v.dtype
+        assert np.array_equal(out, v[cols])
+        assert not np.shares_memory(out, v)
+    else:
+        assert type(out) is list
+        assert len(out) == len(v)
+        assert all(a is v[c] for a, c in zip(out, cols))
+
+
+def test_apply_keeps_trailing_axes_and_never_returns_the_callers_buffer():
+    rows = np.arange(12).reshape(6, 2)
+    spec = tcm_spec(3, 2)
+    out = apply(spec, rows)
+    assert np.array_equal(out, rows[[0, 2, 4, 1, 3, 5]])
+    assert not np.shares_memory(out, rows)
+    # each permutation below moves nothing, so v itself, or a view of it,
+    # would hold the right values, in the caller's own buffer
+    v = np.arange(6.0)
+    for dims, mapping in [((6,), (1,)), ((1, 6, 1), (3, 1, 2)), ((2, 3), (1, 2))]:
+        out = apply(TensorPermSpec(DimList(dims), Sigma(mapping)), v)
+        assert np.array_equal(out, v)
+        assert not np.shares_memory(out, v)
+
+
 def test_cache_keeps_32_orders_up_to_2_pow_20(monkeypatch):
     builds = []
     build = index_algebra._induced_index
@@ -159,7 +204,7 @@ def test_implicit_bound_admits_the_bound(monkeypatch):
         main(["gen", "--format", "perm", "--dims", str(IMPLICIT_BOUND)])
 
 
-def test_implicit_bound_plus_one_is_a_capacity_error(monkeypatch, capsys):
+def test_implicit_bound_plus_one_is_a_capacity_error(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(index_algebra, "_induced_index", _no_build)
     with pytest.raises(CapacityError, match="implicit bound"):
         induced_index_perm(DimList((IMPLICIT_BOUND + 1,)), Sigma((1,)))
@@ -167,6 +212,7 @@ def test_implicit_bound_plus_one_is_a_capacity_error(monkeypatch, capsys):
         ["gen", "--format", "perm", "--dims", str(IMPLICIT_BOUND + 1)],
         ["gen", "--format", "perm", "--dims", "100000,100000"],
         ["bench", "--dims", "100000,100000", "--reps", "1"],
+        ["apply", "--dims", "100000,100000", "--input", str(tmp_path / "missing")],
     ):
         assert main(argv) == 3
         captured = capsys.readouterr()
