@@ -110,15 +110,20 @@ def _cmd_verify(args) -> int:
         )
 
     kron_within_bound = partial(kron, dense_bound=args.dense_bound)
+
+    def draw(shape):
+        # size-1 factors scale both sides alike; as [[1]], any number fits int64
+        return rng.integers(-9, 10, shape) if shape[0] > 1 else np.ones(shape, dtype=np.int64)
+
     relocation = True
     for _ in range(_VERIFY_SAMPLES):
-        vecs = [rng.integers(-9, 10, (d, 1)) for d in dims]
+        vecs = [draw((d, 1)) for d in dims]
         got = apply_perm(spec, reduce(kron_within_bound, vecs).ravel())
         want = reduce(kron_within_bound, [vecs[s - 1] for s in sigma.mapping]).ravel()
         relocation = relocation and np.array_equal(got, want)
 
     conjugation = all(
-        commutation_conjugation_check(spec, [rng.integers(-9, 10, (d, d)) for d in dims],
+        commutation_conjugation_check(spec, [draw((d, d)) for d in dims],
                                       dense_bound=args.dense_bound)
         for _ in range(_VERIFY_SAMPLES)
     )
@@ -174,10 +179,7 @@ def _cmd_apply(args) -> int:
         with open(args.input, "r", encoding="ascii") as fh:
             text = fh.read()
     values = [formats.parse_scalar(tok) for tok in text.split()]
-    if len(values) != spec.size:
-        raise ValueError(f"vector length {len(values)} does not match size {spec.size}")
-    for value in apply_perm(spec, values):
-        print(formats.format_scalar(value))
+    print("\n".join(map(formats.format_scalar, apply_perm(spec, values))))
     return 0
 
 
@@ -187,7 +189,7 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     perm = induced_index_perm(spec.dims, spec.sigma)  # checks the implicit bound first
     size = spec.size
-    vec = np.arange(1, size + 1, dtype=np.float64)
+    vec = np.arange(1, size + 1, dtype=np.int64)
 
     perm.apply(vec)  # warm up before timing
     t0 = time.perf_counter_ns()
@@ -197,10 +199,7 @@ def _cmd_bench(args) -> int:
     print(f"implicit apply: {implicit_ns} ns/application ({args.reps} reps)")
 
     if size <= args.dense_bound:
-        # float64 from the start: one 134 MB array instead of two at the
-        # default bound, and BLAS gets its native dtype
-        dense = np.zeros((size, size), dtype=np.float64)
-        dense[np.arange(size), perm.index] = 1.0
+        dense = build_delta(spec, dense_bound=args.dense_bound)
         dense @ vec
         t0 = time.perf_counter_ns()
         for _ in range(args.reps):

@@ -184,12 +184,8 @@ def write_decomposition(dec: SwapDecomposition, tol: float) -> str:
     """Header fields ``n`` and ``c00``, then one ``a b real imag`` line per
     coefficient of magnitude above ``tol``, ordered by (a, b)."""
     lines = [f"n {dec.n}", f"c00 {_fmt_float(dec.c00)}"]
-    count = dec.table.shape[0]
-    for a in range(count):
-        for b in range(count):
-            if a == 0 and b == 0:
-                continue
+    for a, b in np.argwhere(np.abs(dec.table) > tol):
+        if a or b:
             c = dec.table[a, b]
-            if abs(c) > tol:
-                lines.append(f"{a} {b} {_fmt_float(c.real)} {_fmt_float(c.imag)}")
+            lines.append(f"{a} {b} {_fmt_float(c.real)} {_fmt_float(c.imag)}")
     return "\n".join(lines) + "\n"

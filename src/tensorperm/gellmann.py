@@ -115,11 +115,8 @@ class SwapDecomposition:
         """Sum the table back into an n^2 x n^2 matrix."""
         basis = generalized_gellmann(self.n).with_identity()
         total = np.zeros((self.n * self.n, self.n * self.n), dtype=np.complex128)
-        for a, left in enumerate(basis):
-            for b, right in enumerate(basis):
-                c = self.table[a, b]
-                if c != 0:
-                    total += c * kron(left, right)
+        for a, b in np.argwhere(self.table):
+            total += self.table[a, b] * kron(basis[a], basis[b])
         return total
 
 
@@ -140,4 +137,5 @@ def decompose_swap(n: int, dense_bound: int = DEFAULT_DENSE_BOUND) -> SwapDecomp
     swap = induced_index_perm(DimList((n, n)), Sigma((2, 1)))
     gram = flat[:, swap.index] @ flat.T
     norms = gram.diagonal().real
-    return SwapDecomposition(n=n, table=gram / np.outer(norms, norms))
+    gram /= np.outer(norms, norms)  # in place: no second table
+    return SwapDecomposition(n=n, table=gram)

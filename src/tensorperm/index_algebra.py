@@ -180,6 +180,12 @@ def _check_implicit(n: int) -> None:
         raise CapacityError(f"implicit order {n} exceeds implicit bound {IMPLICIT_BOUND}")
 
 
+def _check_length(v, n: int) -> None:
+    """Refuse a vector whose length is not the order ``n``."""
+    if len(v) != n:
+        raise ValueError(f"vector length {len(v)} does not match size {n}")
+
+
 def _validated(index: np.ndarray) -> np.ndarray:
     """Freeze a 0-based column index after an O(N) range and scatter check."""
     n = index.size
@@ -256,8 +262,7 @@ class IndexPerm:
         arrays come back as numpy arrays (gathered, so the input is never
         modified).
         """
-        if len(v) != self.n_rows:
-            raise ValueError(f"vector length {len(v)} does not match size {self.n_rows}")
+        _check_length(v, self.n_rows)
         if isinstance(v, np.ndarray):
             return v[self._index]
         # an object array holds the entries themselves, so the gather

@@ -31,8 +31,8 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .index_algebra import (DimList, IndexPerm, Sigma, _check_arity, _factor_axes, _flatten,
-                            induced_index_perm)
+from .index_algebra import (DimList, IndexPerm, Sigma, _check_arity, _check_implicit,
+                            _check_length, _factor_axes, _flatten, induced_index_perm)
 from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, domain_of, kron, matrices_close
 
 __all__ = [
@@ -171,6 +171,8 @@ def apply(spec: TensorPermSpec, v):
 
     For v = a1 (x) ... (x) ak the result is a_sigma(1) (x) ... (x) a_sigma(k).
     """
+    _check_implicit(spec.size)
+    _check_length(v, spec.size)
     return induced_index_perm(spec.dims, spec.sigma).apply(v)
 
 

@@ -17,6 +17,7 @@ from tensorperm import (
     generalized_gellmann,
     induced_index_perm,
 )
+from tensorperm.formats import _fmt_float
 from tensorperm.index_algebra import _flatten, _unflatten
 
 
@@ -179,3 +180,17 @@ def isin_classify_tcm(m):
     swaps = [(n, order // n) for n in range(1, order + 1) if order % n == 0]
     return [TcmLabel(n, p) for n, p in swaps
             if np.array_equal(cols, induced_index_perm(DimList((n, p)), Sigma((2, 1))).index)]
+
+
+def nested_write_decomposition(dec, tol):
+    """write_decomposition by a nested walk over every (a, b) of the table."""
+    lines = [f"n {dec.n}", f"c00 {_fmt_float(dec.c00)}"]
+    count = dec.table.shape[0]
+    for a in range(count):
+        for b in range(count):
+            if a == 0 and b == 0:
+                continue
+            c = dec.table[a, b]
+            if abs(c) > tol:
+                lines.append(f"{a} {b} {_fmt_float(c.real)} {_fmt_float(c.imag)}")
+    return "\n".join(lines) + "\n"

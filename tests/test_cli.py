@@ -122,6 +122,15 @@ def test_verify_three_factor_reversal(capsys):
     assert all(line.startswith("PASS ") for line in out.splitlines())
 
 
+def test_verify_passes_with_many_size_1_factors(capsys):
+    dims = ",".join(["2"] + ["1"] * 70 + ["3"])
+    sigma = ",".join(str(t) for t in range(72, 0, -1))
+    code, out, err = run_cli(["verify", "--dims", dims, "--sigma", sigma], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines)
+
+
 def test_verify_rejects_bad_sigma(capsys):
     code, _, err = run_cli(["verify", "--dims", "3,2", "--sigma", "1,1"], capsys)
     assert code == 2
@@ -316,6 +325,17 @@ def test_bench_builds_its_permutation_once(monkeypatch, capsys):
     assert code == 0
     assert out.splitlines()[0].startswith("implicit apply: ")
     assert builds == [(1025, 1024)]
+
+
+def test_bench_times_the_matrix_of_build_delta(monkeypatch, capsys):
+    calls = []
+    build = cli.build_delta
+    monkeypatch.setattr(cli, "build_delta",
+                        lambda spec, dense_bound: calls.append(spec) or build(spec, dense_bound))
+    code, out, _ = run_cli(["bench", "--dims", "3,2", "--reps", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("bench dims=3,2 implicit_ns=")
+    assert calls == [tcm_spec(3, 2)]
 
 
 def test_bench_rejects_zero_reps(capsys):

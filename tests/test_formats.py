@@ -25,7 +25,7 @@ from tensorperm.formats import (
     write_perm,
 )
 
-from oracles import all_specs
+from oracles import all_specs, nested_write_decomposition
 
 
 def test_matrix_market_exact_text():
@@ -120,6 +120,13 @@ def test_decomposition_format_n3_values():
     assert lines[0] == "n 3"
     assert lines[1] == "c00 0.3333333333"
     assert lines[2:] == [f"{i} {i} 0.5 0" for i in range(1, 9)]
+
+
+def test_decomposition_format_matches_the_nested_walk():
+    for n in range(2, 9):
+        dec = decompose_swap(n)
+        for tol in (0, 1e-10, 0.3):
+            assert write_decomposition(dec, tol) == nested_write_decomposition(dec, tol)
 
 
 def test_writers_are_deterministic():

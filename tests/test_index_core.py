@@ -204,6 +204,14 @@ def test_implicit_bound_admits_the_bound(monkeypatch):
         main(["gen", "--format", "perm", "--dims", str(IMPLICIT_BOUND)])
 
 
+def test_apply_checks_bound_then_length_before_building(monkeypatch):
+    monkeypatch.setattr(index_algebra, "_induced_index", _no_build)
+    with pytest.raises(ValueError, match="vector length 2 does not match size 2097152"):
+        apply(TensorPermSpec((2048, 1024), (2, 1)), [1, 2])
+    with pytest.raises(CapacityError, match="implicit bound"):
+        apply(TensorPermSpec((IMPLICIT_BOUND + 1,), (1,)), [1])
+
+
 def test_implicit_bound_plus_one_is_a_capacity_error(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(index_algebra, "_induced_index", _no_build)
     with pytest.raises(CapacityError, match="implicit bound"):
