@@ -129,11 +129,26 @@ def parse_matrix_market(text: str) -> np.ndarray:
     return m
 
 
+# Entries per piece of perm text: 2**16 columns take well under 1 MB of text.
+_PERM_CHUNK = 2**16
+
+
+def _perm_chunks(perm: IndexPerm):
+    """The text of :func:`write_perm` in pieces: the size line, then the
+    columns :data:`_PERM_CHUNK` at a time, then the final newline, so a writer
+    holds one piece's text at a time."""
+    yield f"{perm.n_rows}\n"
+    for start in range(0, perm.n_rows, _PERM_CHUNK):
+        cols = perm.index[start:start + _PERM_CHUNK] + 1
+        # repr of an int is its decimal text, and map(repr) skips the type
+        # call that map(str) makes per entry
+        yield (" " if start else "") + " ".join(map(repr, cols.tolist()))
+    yield "\n"
+
+
 def write_perm(perm: IndexPerm) -> str:
     """Two lines: the size, then the 1-based column of each row's 1."""
-    # repr of an int is its decimal text, and map(repr) skips the type call
-    # that map(str) makes per entry
-    return f"{perm.n_rows}\n" + " ".join(map(repr, (perm.index + 1).tolist())) + "\n"
+    return "".join(_perm_chunks(perm))
 
 
 def parse_perm(text: str) -> IndexPerm:

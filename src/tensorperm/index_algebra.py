@@ -10,13 +10,17 @@ Reordering the factors by a permutation ``sigma`` induces a permutation of the
 linear indices {1, ..., N}; that induced permutation *is* the tensor
 permutation matrix in implicit form, stored one column index per row.
 
-:class:`IndexPerm` holds it as one read-only 0-based ``np.intp`` array, and
-:func:`induced_index_perm` builds that array by a tensor transposition:
-``arange(N)`` reshaped to the factor dimensions, its axes reordered by sigma,
-and read back in row order. The result is validated once in O(N). Orders up
-to 2**20 are cached by (dims, sigma) with ``functools.lru_cache``, 32 at a
-time, so the cache holds at most 256 MiB of index arrays; larger orders are
-built on each call. Orders above :data:`IMPLICIT_BOUND` raise
+Reordering factors is a tensor transposition: a length-N array read with
+one axis per factor, those axes reordered by sigma, and read back in row
+order. ``perm_matrix.apply`` permutes a numpy array that way, in one strided
+copy with no index array. :class:`IndexPerm` holds the permutation as one
+read-only 0-based ``np.intp`` array, and :func:`induced_index_perm` builds
+that array by the same transposition of ``arange(N)``, validated once in
+O(N). It serves what needs the index itself: ``apply`` on lists and tuples,
+the checkers, the dense constructions and the ``perm`` text format. Orders
+up to 2**20 are cached by (dims, sigma) with ``functools.lru_cache``, 32 at
+a time, so the cache holds at most 256 MiB of index arrays; larger orders
+are built on each call. Orders above :data:`IMPLICIT_BOUND` raise
 :class:`CapacityError` before anything is allocated. Conversion to 1-based
 indices happens only at the API and format boundaries. The per-index :func:`flatten` and
 :func:`unflatten` stay independent of that core, so tests can check one
@@ -296,12 +300,27 @@ def _factor_axes(dims: tuple[int, ...], mapping: tuple[int, ...]) -> tuple[tuple
     return tuple(dims[t] for t in axis_of), [axis_of[s - 1] for s in mapping if s - 1 in axis_of]
 
 
-def _induced_index(dims: tuple[int, ...], mapping: tuple[int, ...]) -> np.ndarray:
-    # Entry j of arange(N).reshape(dims) is the 0-based column of multi-index
-    # j; moving axis sigma(t) to position t and reading the result in row
-    # order gives, for each row i, the column with j_sigma(t) = i_t.
+def _permute_factors(a: np.ndarray, dims: tuple[int, ...], mapping: tuple[int, ...]) -> np.ndarray:
+    """A fresh C-ordered copy of ``a`` whose leading axis, read as one axis
+    per factor, has those axes reordered by sigma; trailing axes are kept.
+
+    Entry i of the result is entry j of ``a`` with j_sigma(t) = i_t, so this
+    applies the induced permutation in one strided copy, with no index array.
+    """
     shape, axes = _factor_axes(dims, mapping)
-    return np.arange(prod(dims), dtype=np.intp).reshape(shape).transpose(axes).ravel()
+    rest = a.shape[1:]
+    k = len(shape)
+    moved = a.reshape(shape + rest).transpose(axes + list(range(k, k + len(rest))))
+    out = np.empty(a.shape, a.dtype)
+    np.copyto(out.reshape(moved.shape), moved)
+    return out
+
+
+def _induced_index(dims: tuple[int, ...], mapping: tuple[int, ...]) -> np.ndarray:
+    # Entry j of arange(N) is the 0-based column of multi-index j, so
+    # permuting its factors gives, for each row i, the column with
+    # j_sigma(t) = i_t.
+    return _permute_factors(np.arange(prod(dims), dtype=np.intp), dims, mapping)
 
 
 @lru_cache(maxsize=32)

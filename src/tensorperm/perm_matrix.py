@@ -32,7 +32,8 @@ from functools import partial, reduce
 import numpy as np
 
 from .index_algebra import (DimList, IndexPerm, Sigma, _check_arity, _check_implicit,
-                            _check_length, _factor_axes, _flatten, induced_index_perm)
+                            _check_length, _factor_axes, _flatten, _permute_factors,
+                            induced_index_perm)
 from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, domain_of, kron, matrices_close
 
 __all__ = [
@@ -170,9 +171,15 @@ def apply(spec: TensorPermSpec, v):
     """Permute a length-N vector in O(N) without materializing the matrix.
 
     For v = a1 (x) ... (x) ak the result is a_sigma(1) (x) ... (x) a_sigma(k).
+    A numpy array comes back as a fresh C-ordered array of its dtype, copied
+    once through the transposed view of its factor axes, with no index array;
+    trailing axes are kept. Lists and tuples come back as lists of the
+    original entries, gathered through the index permutation.
     """
     _check_implicit(spec.size)
     _check_length(v, spec.size)
+    if isinstance(v, np.ndarray):
+        return _permute_factors(v, spec.dims.dims, spec.sigma.mapping)
     return induced_index_perm(spec.dims, spec.sigma).apply(v)
 
 

@@ -1,13 +1,17 @@
 import contextlib
 import io
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tensorperm
 from tensorperm import build_delta, cli, index_algebra, tcm_spec
 from tensorperm.cli import main
 from tensorperm.formats import format_scalar, parse_matrix_market
@@ -46,6 +50,24 @@ def test_gen_past_64_factors(capsys):
     sigma = ",".join(str(s) for s in range(72, 0, -1))
     code, out, err = run_cli(["gen", "--dims", dims, "--sigma", sigma], capsys)
     assert (code, out, err) == (0, "6\n1 4 2 5 3 6\n", "")
+
+
+def _peak_rss_kib(argv):
+    """Peak RSS of a fresh Python process running ``argv``, from ``os.wait4``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tensorperm.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss
+
+
+def test_gen_perm_memory_per_entry_is_bounded():
+    # the text goes out in pieces, so only the index grows with the order
+    n = 2**22
+    base = _peak_rss_kib(["-c", "import tensorperm"])
+    peak = _peak_rss_kib(["-m", "tensorperm", "gen", "--dims", "2048,2048"])
+    assert (peak - base) * 1024 / n < 40
 
 
 def test_gen_mm_parses_back(capsys):
@@ -314,9 +336,9 @@ def test_bench_skips_dense_beyond_bound(capsys):
     assert out.splitlines()[-1].endswith("dense_ns=skipped")
 
 
-def test_bench_builds_its_permutation_once(monkeypatch, capsys):
-    # 1025 * 1024 entries is past the cached orders, so each apply_perm
-    # would build the index again
+def test_bench_builds_no_index_permutation(monkeypatch, capsys):
+    # 1025 * 1024 entries is past the cached orders and past the dense
+    # bound, so an index built by any timed apply would show here
     builds = []
     build = index_algebra._induced_index
     monkeypatch.setattr(index_algebra, "_induced_index",
@@ -324,7 +346,7 @@ def test_bench_builds_its_permutation_once(monkeypatch, capsys):
     code, out, _ = run_cli(["bench", "--dims", "1025,1024", "--reps", "3"], capsys)
     assert code == 0
     assert out.splitlines()[0].startswith("implicit apply: ")
-    assert builds == [(1025, 1024)]
+    assert builds == []
 
 
 def test_bench_times_the_matrix_of_build_delta(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from tensorperm import (
     induced_index_perm,
     tcm_spec,
 )
+from tensorperm import formats
 from tensorperm.formats import (
     parse_matrix_market,
     parse_perm,
@@ -79,6 +80,14 @@ def test_perm_format_round_trip():
     text = write_perm(perm)
     assert text == "6\n1 3 5 2 4 6\n"
     assert parse_perm(text) == perm
+
+
+def test_perm_text_is_one_line_across_chunks():
+    n = 2 * formats._PERM_CHUNK + 3
+    perm = induced_index_perm(DimList((n,)), Sigma((1,)))
+    text = write_perm(perm)
+    assert text == f"{n}\n" + " ".join(str(c) for c in range(1, n + 1)) + "\n"
+    assert "".join(formats._perm_chunks(IndexPerm([]))) == "0\n\n"
 
 
 def test_perm_parser_errors():

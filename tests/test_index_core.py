@@ -1,7 +1,8 @@
 """The array-native index core: induced permutations built by tensor
-transposition, the array-backed IndexPerm, ``apply`` on every input kind,
-the lru_cache of induced permutations up to 2**20 entries, the memory that
-reading ``col_of_row`` leaves held, and the implicit size bound."""
+transposition, the array-backed IndexPerm, ``apply`` on every input kind
+(ndarrays by one strided copy, with no index), the lru_cache of induced
+permutations up to 2**20 entries, the memory that reading ``col_of_row``
+leaves held, and the implicit size bound."""
 
 import pickle
 import tracemalloc
@@ -22,7 +23,7 @@ from tensorperm import (
     induced_index_perm,
     tcm_spec,
 )
-from tensorperm import index_algebra
+from tensorperm import index_algebra, perm_matrix
 from tensorperm.cli import main
 
 from oracles import induced_cols_per_row
@@ -116,6 +117,18 @@ def test_pickle_round_trip_keeps_value_and_read_only_index():
     assert not back.index.flags.writeable
 
 
+def _read_only(n):
+    v = np.arange(n, dtype=np.int16)
+    v.flags.writeable = False
+    return v
+
+
+def _objects(n):
+    v = np.empty(n, dtype=object)
+    v[:] = [10**30 + i for i in range(n)]
+    return v
+
+
 _APPLY_INPUTS = {
     "int64": lambda n: np.arange(n, dtype=np.int64) - 3,
     "float64": lambda n: np.linspace(-1.5, 2.5, n),
@@ -123,6 +136,11 @@ _APPLY_INPUTS = {
     "2-d": lambda n: np.arange(3 * n, dtype=np.int32).reshape(n, 3),
     "list": lambda n: [10**30 + i for i in range(n)],
     "tuple": lambda n: tuple(float(i) + 0.5 for i in range(n)),
+    "strided": lambda n: np.arange(2 * n)[::2],
+    "fortran 2-d": lambda n: np.asfortranarray(np.arange(3 * n, dtype=np.float32).reshape(n, 3)),
+    "read-only": _read_only,
+    "bool": lambda n: np.arange(n) % 3 == 1,
+    "object ndarray": _objects,
 }
 
 
@@ -137,6 +155,9 @@ def test_apply_matches_a_gather_through_the_per_row_reference(spec, kind):
         assert type(out) is np.ndarray and out.dtype == v.dtype
         assert np.array_equal(out, v[cols])
         assert not np.shares_memory(out, v)
+        assert out.flags.c_contiguous and out.flags.writeable
+        if v.dtype == object:
+            assert all(a is v[c] for a, c in zip(out, cols))
     else:
         assert type(out) is list
         assert len(out) == len(v)
@@ -156,6 +177,18 @@ def test_apply_keeps_trailing_axes_and_never_returns_the_callers_buffer():
         out = apply(TensorPermSpec(DimList(dims), Sigma(mapping)), v)
         assert np.array_equal(out, v)
         assert not np.shares_memory(out, v)
+
+
+def test_ndarray_apply_builds_no_index_permutation(monkeypatch):
+    def refuse(dims, sigma):
+        raise AssertionError("apply built an index permutation")
+
+    monkeypatch.setattr(perm_matrix, "induced_index_perm", refuse)
+    spec = TensorPermSpec((1025, 1024), (2, 1))  # past the cached orders
+    v = np.arange(spec.size)
+    assert np.array_equal(apply(spec, v), v.reshape(1025, 1024).T.ravel())
+    with pytest.raises(AssertionError, match="built an index"):
+        apply(tcm_spec(3, 2), list(range(6)))
 
 
 def test_cache_keeps_32_orders_up_to_2_pow_20(monkeypatch):
