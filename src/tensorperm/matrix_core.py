@@ -106,7 +106,14 @@ def _check_int64(a: np.ndarray, b: np.ndarray, terms: int) -> None:
 
 
 def kron(a, b, dense_bound: int = DEFAULT_DENSE_BOUND) -> np.ndarray:
-    """Kronecker product: the block matrix whose (i, j) block is a[i, j] * b."""
+    """Kronecker product: the block matrix whose (i, j) block is a[i, j] * b.
+
+    numpy's innermost loop runs over the last axis of the product. When b is
+    narrower than a, each row of a is repeated and each row of b tiled to the
+    full output width, so that loop covers a whole output row of ca * cb
+    entries rather than b's cb columns. The repeated a is a temporary of
+    1/rb the output's size.
+    """
     a, b = _as_matrix(a), _as_matrix(b)
     domain = _common_domain(a, b)
     ra, ca = a.shape
@@ -114,7 +121,11 @@ def kron(a, b, dense_bound: int = DEFAULT_DENSE_BOUND) -> np.ndarray:
     _check_capacity(max(ra * rb, ca * cb), dense_bound)
     if domain == INT_DOMAIN:
         _check_int64(a, b, 1)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    if cb < ca:
+        product = np.repeat(a, cb, axis=1)[:, None, :] * np.tile(b, (1, ca))[None, :, :]
+    else:
+        product = a[:, None, :, None] * b[None, :, None, :]
+    return product.reshape(ra * rb, ca * cb)
 
 
 def matmul(a, b) -> np.ndarray:

@@ -16,7 +16,7 @@ Three constructions are provided and must agree:
   (rows read over the permuted dimension list, columns over the original);
 * :func:`build_elementary_sum` accumulates one elementary matrix per column
   multi-index, at the row given by flattening the sigma-reordered parts over
-  the permuted dimensions;
+  the permuted dimensions, all N of them in one scatter-add;
 * :func:`build_stride_rule` (two factors, swap only) walks a cursor down the
   columns, descending n rows per column and restarting each sweep one row
   lower, and cross-checks the walk against the closed form that puts the 1 of
@@ -25,14 +25,13 @@ Three constructions are provided and must agree:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
 
 from .index_algebra import (DimList, IndexPerm, Sigma, _check_arity, _check_implicit,
-                            _check_length, _factor_axes, _flatten, _permute_factors,
+                            _check_length, _factor_axes, _permute_factors,
                             induced_index_perm)
 from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, domain_of, kron, matrices_close
 
@@ -115,13 +114,21 @@ def build_elementary_sum(spec: TensorPermSpec,
     n = spec.size
     _check_capacity(n, dense_bound)
     dims = spec.dims.dims
-    mapping = spec.sigma.mapping
-    out_dims = tuple(dims[s - 1] for s in mapping)
+    # 0-based parts of all N column multi-indices at once, last part fastest
+    parts = [None] * len(dims)
+    rest = np.arange(n)
+    for t in range(len(dims) - 1, -1, -1):
+        rest, parts[t] = np.divmod(rest, dims[t])
+    # flatten each multi-index by the lexicographic (Horner) rule: the column
+    # over the original dimensions, the row over the permuted ones
+    col = row = 0
+    for d, part in zip(dims, parts):
+        col = col * d + part
+    for s in spec.sigma.mapping:
+        row = row * dims[s - 1] + parts[s - 1]
     dense = np.zeros((n, n), dtype=np.int64)
-    for j in itertools.product(*(range(1, d + 1) for d in dims)):
-        col = _flatten(dims, j)
-        row = _flatten(out_dims, tuple(j[s - 1] for s in mapping))
-        dense[row - 1, col - 1] += 1
+    # add, not assign, so that two multi-indices landing on one entry show as a 2
+    np.add.at(dense, (row, col), 1)
     return dense
 
 
@@ -161,9 +168,9 @@ def build_stride_rule(n: int, p: int, dense_bound: int = DEFAULT_DENSE_BOUND) ->
     walked = _stride_positions_walk(n, p)
     if walked != _stride_positions_closed(n, p):
         raise RuntimeError(f"stride walk and closed form disagree for ({n}, {p})")
+    rows, cols = np.array(walked).T - 1
     dense = np.zeros((size, size), dtype=np.int64)
-    for row, col in walked:
-        dense[row - 1, col - 1] = 1
+    dense[rows, cols] = 1
     return dense
 
 
@@ -289,10 +296,12 @@ def closure_check(n: int, p: int) -> ClosureReport:
 
     Each matrix is its index permutation, so every ordered pair is composed
     in O(np) and the product looked up in the set by value; the implicit
-    bound limits the order. Closure holds when n = p or min(n, p) = 1 (the
-    set then collapses to {I, U} with U involutive) but fails in general:
-    already for (n, p) = (3, 2) the square of U[3(x)2] is a permutation
-    matrix outside the set.
+    bound limits the order. U[n(x)p] sends entry i < np - 1 to
+    n * i mod (np - 1) and U[p(x)n] is its inverse, so closure holds exactly
+    when U[n(x)p] has order at most 3: when min(n, p) = 1 (U = I), n = p
+    (U involutive), or p = n**2 or n = p**2 (U of order 3). It fails for
+    every other pair: already for (n, p) = (3, 2) the square of U[3(x)2] is
+    a permutation matrix outside the set.
     """
     elements = [
         (f"U[{a}x{b}]", induced_index_perm(DimList((a, b)), Sigma((2, 1))))

@@ -107,6 +107,20 @@ def all_specs(max_size, max_k=4):
             yield dims, mapping
 
 
+def loop_elementary_sum(dims, mapping):
+    """build_elementary_sum one column multi-index at a time: add a 1 at the
+    column the multi-index flattens to over ``dims`` and the row its
+    sigma-reordered parts flatten to over the permuted dimensions."""
+    out_dims = tuple(dims[s - 1] for s in mapping)
+    n = math.prod(dims)
+    dense = np.zeros((n, n), dtype=np.int64)
+    for j in itertools.product(*(range(1, d + 1) for d in dims)):
+        col = _flatten(tuple(dims), j)
+        row = _flatten(out_dims, tuple(j[s - 1] for s in mapping))
+        dense[row - 1, col - 1] += 1
+    return dense
+
+
 def induced_cols_per_row(dims, mapping):
     """1-based column of each row's 1, one row at a time: unflatten the row
     over the permuted dimensions, send part t to factor sigma(t), flatten over

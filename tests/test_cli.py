@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,34 @@ def test_gen_capacity_exits_3(capsys):
     )
     assert code == 3
     assert "dense bound" in err
+
+
+def test_gen_dense_bound_past_memory_exits_3():
+    # an 8 TiB matrix, refused by numpy; the address-space limit makes the
+    # refusal certain whatever the host's overcommit policy
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(tensorperm.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tensorperm", "gen", "--dims", "1024,1024", "--format", "mm",
+         "--dense-bound", "1048576"],
+        capture_output=True, text=True, env=env, preexec_fn=limit_address_space, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: Unable to allocate")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_memory_error_without_a_message_exits_3(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_delta", refuse)
+    code, out, err = run_cli(["gen", "--dims", "3,2", "--format", "mm"], capsys)
+    assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
 def test_gen_perm_format_works_beyond_dense_bound(capsys):

@@ -47,6 +47,41 @@ def test_kron_matches_block_oracle_random():
         assert kron(a, b).tolist() == naive_kron(a.tolist(), b.tolist())
 
 
+def _rand_complex(rows, cols):
+    return _rand_int(rows, cols) + 1j * _rand_int(rows, cols)
+
+
+def _assert_kron_matches_block_oracle(a, b):
+    got = kron(a, b)
+    assert got.dtype == a.dtype
+    expected = np.array(naive_kron(a.tolist(), b.tolist()), dtype=a.dtype)
+    assert got.shape == expected.shape == (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("rand", [_rand_int, _rand_complex], ids=["int64", "complex128"])
+@pytest.mark.parametrize("side_a, side_b", [
+    (512, 2), (256, 4), (128, 8),  # b narrower: output rows as one inner loop
+    (2, 64), (4, 32), (2, 512),    # b wider
+    (3, 3), (16, 16),              # equal widths
+])
+def test_kron_matches_block_oracle_square(rand, side_a, side_b):
+    _assert_kron_matches_block_oracle(rand(side_a, side_a), rand(side_b, side_b))
+
+
+@pytest.mark.parametrize("rand", [_rand_int, _rand_complex], ids=["int64", "complex128"])
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((3, 7), (5, 2)),  # cb < ca
+    ((1, 9), (6, 1)),
+    ((4, 2), (3, 5)),  # cb > ca
+    ((2, 3), (4, 3)),  # cb == ca
+    ((3, 4), (2, 0)),  # zero-column b
+    ((3, 0), (2, 2)),  # zero-column a
+])
+def test_kron_matches_block_oracle_rectangular(rand, shape_a, shape_b):
+    _assert_kron_matches_block_oracle(rand(*shape_a), rand(*shape_b))
+
+
 def _eye(n):
     return np.eye(n, dtype=np.int64)
 

@@ -20,7 +20,7 @@ from tensorperm import (
     tcm_spec,
 )
 
-from oracles import all_specs, delta_entry_matrix, naive_kron
+from oracles import all_specs, delta_entry_matrix, loop_elementary_sum, naive_kron
 from references import U222_REVERSAL_REF, U23_REF, U32_REF, U35_REF
 
 rng = np.random.default_rng(1234)
@@ -87,6 +87,26 @@ def test_builders_agree_exhaustively_small():
     for dims, mapping in all_specs(32):
         spec = TensorPermSpec(dims, mapping)
         assert np.array_equal(build_delta(spec), build_elementary_sum(spec))
+
+
+def test_build_elementary_sum_matches_loop_oracle():
+    for dims, mapping in all_specs(36):
+        assert np.array_equal(build_elementary_sum(TensorPermSpec(dims, mapping)),
+                              loop_elementary_sum(dims, mapping)), (dims, mapping)
+
+
+def test_build_elementary_sum_matches_loop_oracle_past_64_factors():
+    # 72 factors, all but two of size 1: more than numpy's 64 axes
+    dims = (2,) + (1,) * 70 + (3,)
+    mapping = tuple(range(72, 0, -1))
+    assert np.array_equal(build_elementary_sum(TensorPermSpec(dims, mapping)),
+                          loop_elementary_sum(dims, mapping))
+
+
+def test_build_elementary_sum_matches_loop_oracle_at_order_1024():
+    dims, mapping = (4, 2, 8, 16), (3, 1, 4, 2)
+    assert np.array_equal(build_elementary_sum(TensorPermSpec(dims, mapping)),
+                          loop_elementary_sum(dims, mapping))
 
 
 def test_stride_rule_reference():
@@ -224,6 +244,16 @@ def test_closure_square_factor_is_closed():
 
 def test_closure_trivial_factor_is_closed():
     assert closure_check(1, 5).closed
+
+
+def test_closure_holds_exactly_when_the_swap_has_order_at_most_3():
+    # U[n(x)p] sends entry i < np - 1 to n * i mod (np - 1), and U[p(x)n] is
+    # its inverse; the set is closed when U is the identity, an involution
+    # (n = p) or of order 3, which takes p = n**2 or n = p**2
+    for n in range(2, 40):
+        for p in range(2, 40):
+            expected = n == p or p == n * n or n == p * p
+            assert closure_check(n, p).closed == expected, (n, p)
 
 
 def test_closure_fails_for_3_2_with_square_witness():
