@@ -31,8 +31,8 @@ from functools import partial, reduce
 import numpy as np
 
 from .index_algebra import (DimList, IndexPerm, Sigma, _check_arity, _check_implicit,
-                            _check_length, _factor_axes, _permute_factors,
-                            induced_index_perm)
+                            _check_length, _factor_axes, _induced_index,
+                            _permute_factors, induced_index_perm)
 from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, domain_of, kron, matrices_close
 
 __all__ = [
@@ -203,6 +203,13 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     its columns, K = A1 (x) ... (x) Ak becomes U . K . U^T when both axis
     groups are reordered by sigma, so the left side is a strided view of K
     with no index gather and no matrix product.
+
+    numpy compares in the C order of the shape it is given, so the compare
+    runs in whichever layout has the longer innermost axis: K's own, with K'
+    read back through the inverse axis order, when K's last factor axis is
+    longer than K''s, and K''s otherwise, ties included. At order 1024 this
+    takes the (2, 512) swap from 3.7 to 1.5 ms and leaves (512, 2) at 1.4 ms
+    (one core of a 2-core Intel Xeon with 2 MiB of L2 per core, numpy 2.4).
     """
     _check_capacity(spec.size, dense_bound)
     mats = [np.asarray(a) for a in matrices]
@@ -218,11 +225,19 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     permuted = reduce(kron_within_bound, [mats[s - 1] for s in spec.sigma.mapping])
     shape, axes = _factor_axes(dims, spec.sigma.mapping)
     out_shape = tuple(shape[a] for a in axes)
-    conjugated = forward.reshape(shape + shape).transpose(axes + [a + len(shape) for a in axes])
+    k_tensor = forward.reshape(shape + shape)
+    k_prime_tensor = permuted.reshape(out_shape + out_shape)
+    if shape and shape[-1] > out_shape[-1]:
+        inverse = np.argsort(axes).tolist()
+        left = k_tensor
+        right = k_prime_tensor.transpose(inverse + [a + len(shape) for a in inverse])
+    else:
+        left = k_tensor.transpose(axes + [a + len(shape) for a in axes])
+        right = k_prime_tensor
     if not np.iscomplexobj(permuted):
-        return bool(np.array_equal(conjugated, permuted.reshape(out_shape + out_shape)))
+        return bool(np.array_equal(left, right))
     tol = 4 * len(mats) * np.finfo(np.float64).eps * np.abs(permuted).max()
-    return matrices_close(conjugated.reshape(permuted.shape), permuted, tol)
+    return matrices_close(left.reshape(forward.shape), right.reshape(forward.shape), tol)
 
 
 def _row_ones(m: np.ndarray, nonzero: int) -> np.ndarray | None:
@@ -231,13 +246,17 @@ def _row_ones(m: np.ndarray, nonzero: int) -> np.ndarray | None:
 
     Each row's largest entry must be a 1; with those N ones in place, a count
     of N nonzero entries (``nonzero``, counted by the caller) leaves room for
-    no other, so no entry needs testing against the set {0, 1}.
+    no other, so no entry needs testing against the set {0, 1}. The count is
+    tested first, so a matrix with any other count is refused without the
+    ``argmax`` pass.
     """
     n = m.shape[0]
+    if nonzero != n:
+        return None
     if n == 0:
         return np.zeros(0, dtype=np.intp)
     cols = m.argmax(axis=1)
-    if nonzero != n or not (m[np.arange(n), cols] == 1).all():
+    if not (m[np.arange(n), cols] == 1).all():
         return None
     return cols
 
@@ -264,22 +283,43 @@ def _swaps(order: int) -> dict[tuple[int, int], IndexPerm]:
 def classify_tcm(m) -> list[TcmLabel]:
     """Every label (n, p) whose swap matrix equals ``m``; empty if none.
 
-    The input must be a square 0/1 matrix. The column of each row's 1 is read
-    once and compared with the index permutation of each factorization of
-    the order.
+    The input must be a square 0/1 matrix. A matrix with one 1 per row and
+    nothing else takes two passes, a nonzero count and each row's
+    ``argmax``; any other matrix takes one more, a count of its entries
+    equal to 1, which tells a 0/1 matrix (no label) from one that raises.
+
+    U[n(x)p] sends row i*n + j (i < p, j < n) to column j*p + i, so for
+    n >= 2 row 1 holds its 1 in column p, and for n = 1 or p = 1 the swap is
+    the identity. The column q of row 1 thus names the one candidate: the
+    identity when q = 1, U[(N/q)(x)q] when q > 1 divides N, and none
+    otherwise. Only that candidate's index is built and compared; at order
+    1024 this takes 0.8 ms, where comparing every factorization's index
+    took 1.5 ms (one core of a 2-core Intel Xeon with 2 MiB of L2 per core,
+    numpy 2.4, Python 3.11).
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("classification needs a square matrix")
     nonzero = np.count_nonzero(m)
-    if np.count_nonzero(m == 1) != nonzero:
-        raise ValueError("classification needs a 0/1 matrix")
-    # with exactly one 1 in each row, m is fixed by the column of each row's 1
     cols = _row_ones(m, nonzero)
     if cols is None:
+        if np.count_nonzero(m == 1) != nonzero:
+            raise ValueError("classification needs a 0/1 matrix")
         return []
-    return [TcmLabel(n, p) for (n, p), perm in _swaps(m.shape[0]).items()
-            if np.array_equal(cols, perm.index)]
+    # N ones in distinct rows and N nonzero entries in all: m is 0/1, with
+    # one 1 per row, and is fixed by the column of each row's 1
+    order = len(cols)
+    if order == 0:
+        return []
+    q = int(cols[1]) if order > 1 else 1
+    if q == 1:  # the identity is U[1(x)N] and U[N(x)1]
+        if not np.array_equal(cols, np.arange(order)):
+            return []
+        return [TcmLabel(n, p) for n, p in sorted({(1, order), (order, 1)})]
+    if q == 0 or order % q:
+        return []
+    n = order // q
+    return [TcmLabel(n, q)] if np.array_equal(cols, _induced_index((n, q), (2, 1))) else []
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,12 @@ from tensorperm import (
     perm_matrix,
     tcm_spec,
 )
+from tensorperm.perm_matrix import _swaps
 
 from oracles import (
     dense_closure,
     dense_trace_decomposition,
+    every_swap_classify_tcm,
     isin_classify_tcm,
     isin_is_permutation_matrix,
 )
@@ -60,9 +62,90 @@ def test_classify_matches_dense_compare_on_swaps_and_their_products():
     [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
     [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
     [[1, 1, 0], [0, 0, 0], [0, 0, 1]],
+    # one 1 per row in repeated columns: row 1's column names the identity,
+    # then U[2x2], and neither matches
+    [[0, 1, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
 ])
 def test_classify_refuses_zero_one_matrices_that_are_not_permutations(rows):
     assert classify_tcm(np.array(rows, dtype=np.int64)) == []
+
+
+def _perm_dense(cols):
+    m = np.zeros((len(cols), len(cols)), dtype=np.int64)
+    m[np.arange(len(cols)), cols] = 1
+    return m
+
+
+def _swap_indexes(order):
+    return [perm.index for perm in _swaps(order).values()]
+
+
+def test_classify_matches_every_swap_compare_on_swaps_and_their_products_to_120():
+    # 4640 matrices: every swap of each order up to 120, and every product of two
+    for order in range(1, 121):
+        swaps = _swap_indexes(order)
+        for u in swaps:
+            assert classify_tcm(_perm_dense(u)) == every_swap_classify_tcm(_perm_dense(u))
+            for v in swaps:
+                m = _perm_dense(v[u])
+                assert classify_tcm(m) == every_swap_classify_tcm(m), (order, u, v)
+
+
+def test_classify_matches_every_swap_compare_on_swaps_to_400():
+    for order in range(121, 401):
+        for u in _swap_indexes(order):
+            m = _perm_dense(u)
+            assert classify_tcm(m) == every_swap_classify_tcm(m), order
+
+
+def test_classify_matches_every_swap_compare_on_random_permutations():
+    # Row 1's column is moved to 0 (no candidate), 1 (the identity) and each
+    # divisor of the order (one swap), so every branch of the row-1 rule sees
+    # a permutation that its candidate does not match.
+    rng = np.random.default_rng(17)
+    for order in range(2, 97):
+        for target in [None, 0, 1, *(q for q in range(2, order) if order % q == 0)]:
+            cols = rng.permutation(order)
+            if target is not None:
+                r = int(np.flatnonzero(cols == target)[0])
+                cols[[1, r]] = cols[[r, 1]]
+            m = _perm_dense(cols)
+            assert classify_tcm(m) == every_swap_classify_tcm(m), (order, cols)
+
+
+@pytest.mark.parametrize("rows, labels", [
+    (np.zeros((0, 0), dtype=np.int64), []),
+    ([[1]], [TcmLabel(1, 1)]),
+    ([[0]], []),
+    ([[1, 0], [0, 1]], [TcmLabel(1, 2), TcmLabel(2, 1)]),
+    ([[0, 1], [1, 0]], []),
+    ([[1, 1], [0, 0]], []),
+    ([[0, 1], [0, 1]], []),
+], ids=["0", "1", "1-zero", "2-identity", "2-reversal", "2-row-pair", "2-column-pair"])
+def test_classify_at_orders_0_1_2(rows, labels):
+    assert classify_tcm(np.array(rows)) == labels
+    assert every_swap_classify_tcm(np.array(rows)) == labels
+
+
+@pytest.mark.parametrize("rows", [
+    # N nonzero entries; row 0's largest is a 1 beside a -1, so row 1 has none
+    [[1, -1, 0], [0, 0, 0], [0, 0, 1]],
+    # one nonzero per row, but row 0's is a 2
+    [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+    # each row's largest entry is a 1, plus one more nonzero entry, a -1
+    [[1, -1, 0], [0, 1, 0], [0, 0, 1]],
+])
+def test_classify_refuses_an_entry_other_than_0_or_1_whatever_else_fails(rows):
+    with pytest.raises(ValueError, match="^classification needs a 0/1 matrix$"):
+        classify_tcm(np.array(rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_is_permutation_matrix_refuses_one_nonzero_too_many(extra):
+    m = np.eye(3, dtype=np.int64)
+    m[0, 2] = extra
+    assert not is_permutation_matrix(m)
 
 
 # Entry values per dtype: the two that make a permutation matrix first, then
@@ -126,8 +209,15 @@ def _normal_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
-@pytest.mark.parametrize("spec", [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1))],
-                         ids=["3x2", "2,3,2"])
+# The compare runs in K's layout when K's last factor axis is longer than
+# K''s (2x3; and 2,3,4, whose sigma is not its own inverse), and in K''s
+# otherwise: 3x2, the tie 2,3,2, and 1,1, whose factors all have size 1.
+_LAYOUT_SPECS = [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1)), tcm_spec(2, 3),
+                 TensorPermSpec((2, 3, 4), (2, 3, 1)), TensorPermSpec((1, 1), (2, 1))]
+_LAYOUT_IDS = ["3x2", "2,3,2", "2x3", "2,3,4", "1,1"]
+
+
+@pytest.mark.parametrize("spec", _LAYOUT_SPECS, ids=_LAYOUT_IDS)
 def test_conjugation_tolerates_rounding_of_complex_factors(spec):
     # the two Kronecker products round a*b and b*a differently, so exact
     # equality fails for most draws of these factors
@@ -136,8 +226,7 @@ def test_conjugation_tolerates_rounding_of_complex_factors(spec):
         assert commutation_conjugation_check(spec, [_normal_complex(rng, d) for d in spec.dims])
 
 
-@pytest.mark.parametrize("spec", [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1))],
-                         ids=["3x2", "2,3,2"])
+@pytest.mark.parametrize("spec", _LAYOUT_SPECS, ids=_LAYOUT_IDS)
 def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
     # Both sides are built from the same factors, so the identity always
     # holds; to see that the tolerance still catches a real error, the
@@ -159,8 +248,7 @@ def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
     assert not commutation_conjugation_check(spec, mats)
 
 
-@pytest.mark.parametrize("spec", [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1))],
-                         ids=["3x2", "2,3,2"])
+@pytest.mark.parametrize("spec", _LAYOUT_SPECS, ids=_LAYOUT_IDS)
 def test_conjugation_rejects_a_perturbed_integer_product(spec, monkeypatch):
     # The integer twin of the complex case: K' = A_sigma(1) (x) ... comes out
     # of the last Kronecker product with one entry raised by 1, which the
