@@ -203,13 +203,6 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     its columns, K = A1 (x) ... (x) Ak becomes U . K . U^T when both axis
     groups are reordered by sigma, so the left side is a strided view of K
     with no index gather and no matrix product.
-
-    numpy compares in the C order of the shape it is given, so the compare
-    runs in whichever layout has the longer innermost axis: K's own, with K'
-    read back through the inverse axis order, when K's last factor axis is
-    longer than K''s, and K''s otherwise, ties included. At order 1024 this
-    takes the (2, 512) swap from 3.7 to 1.5 ms and leaves (512, 2) at 1.4 ms
-    (one core of a 2-core Intel Xeon with 2 MiB of L2 per core, numpy 2.4).
     """
     _check_capacity(spec.size, dense_bound)
     mats = [np.asarray(a) for a in matrices]
@@ -225,19 +218,11 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     permuted = reduce(kron_within_bound, [mats[s - 1] for s in spec.sigma.mapping])
     shape, axes = _factor_axes(dims, spec.sigma.mapping)
     out_shape = tuple(shape[a] for a in axes)
-    k_tensor = forward.reshape(shape + shape)
-    k_prime_tensor = permuted.reshape(out_shape + out_shape)
-    if shape and shape[-1] > out_shape[-1]:
-        inverse = np.argsort(axes).tolist()
-        left = k_tensor
-        right = k_prime_tensor.transpose(inverse + [a + len(shape) for a in inverse])
-    else:
-        left = k_tensor.transpose(axes + [a + len(shape) for a in axes])
-        right = k_prime_tensor
+    conjugated = forward.reshape(shape + shape).transpose(axes + [a + len(shape) for a in axes])
     if not np.iscomplexobj(permuted):
-        return bool(np.array_equal(left, right))
+        return bool(np.array_equal(conjugated, permuted.reshape(out_shape + out_shape)))
     tol = 4 * len(mats) * np.finfo(np.float64).eps * np.abs(permuted).max()
-    return matrices_close(left.reshape(forward.shape), right.reshape(forward.shape), tol)
+    return matrices_close(conjugated.reshape(permuted.shape), permuted, tol)
 
 
 def _row_ones(m: np.ndarray, nonzero: int) -> np.ndarray | None:
@@ -292,10 +277,7 @@ def classify_tcm(m) -> list[TcmLabel]:
     n >= 2 row 1 holds its 1 in column p, and for n = 1 or p = 1 the swap is
     the identity. The column q of row 1 thus names the one candidate: the
     identity when q = 1, U[(N/q)(x)q] when q > 1 divides N, and none
-    otherwise. Only that candidate's index is built and compared; at order
-    1024 this takes 0.8 ms, where comparing every factorization's index
-    took 1.5 ms (one core of a 2-core Intel Xeon with 2 MiB of L2 per core,
-    numpy 2.4, Python 3.11).
+    otherwise. Only that candidate's index is built and compared.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

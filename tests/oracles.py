@@ -19,7 +19,6 @@ from tensorperm import (
 )
 from tensorperm.formats import _fmt_float
 from tensorperm.index_algebra import _flatten, _unflatten
-from tensorperm.perm_matrix import _row_ones, _swaps
 
 
 def lex_position(dims, parts):
@@ -195,23 +194,6 @@ def isin_classify_tcm(m):
     swaps = [(n, order // n) for n in range(1, order + 1) if order % n == 0]
     return [TcmLabel(n, p) for n, p in swaps
             if np.array_equal(cols, induced_index_perm(DimList((n, p)), Sigma((2, 1))).index)]
-
-
-def every_swap_classify_tcm(m):
-    """classify_tcm by comparing the column of each row's 1 with the index
-    permutation of every factorization n * p of the order, after a 0/1 test
-    by counting entries equal to 1 against nonzero entries."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("classification needs a square matrix")
-    nonzero = np.count_nonzero(m)
-    if np.count_nonzero(m == 1) != nonzero:
-        raise ValueError("classification needs a 0/1 matrix")
-    cols = _row_ones(m, nonzero)
-    if cols is None:
-        return []
-    return [TcmLabel(n, p) for (n, p), perm in _swaps(m.shape[0]).items()
-            if np.array_equal(cols, perm.index)]
 
 
 def nested_write_decomposition(dec, tol):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from tensorperm import (
     CapacityError,
+    DimList,
+    Sigma,
     TcmLabel,
     TensorPermSpec,
     build_stride_rule,
@@ -15,17 +17,16 @@ from tensorperm import (
     closure_check,
     commutation_conjugation_check,
     decompose_swap,
+    induced_index_perm,
     is_permutation_matrix,
     kron,
     perm_matrix,
     tcm_spec,
 )
-from tensorperm.perm_matrix import _swaps
 
 from oracles import (
     dense_closure,
     dense_trace_decomposition,
-    every_swap_classify_tcm,
     isin_classify_tcm,
     isin_is_permutation_matrix,
 )
@@ -47,7 +48,8 @@ def _dense_labels(m, swaps):
 
 
 def test_classify_matches_dense_compare_on_swaps_and_their_products():
-    for order in range(1, 37):
+    # 4640 matrices: every swap of each order up to 120, and every product of two
+    for order in range(1, 121):
         swaps = {(n, order // n): build_stride_rule(n, order // n)
                  for n in range(1, order + 1) if order % n == 0}
         for u in swaps.values():
@@ -77,29 +79,14 @@ def _perm_dense(cols):
     return m
 
 
-def _swap_indexes(order):
-    return [perm.index for perm in _swaps(order).values()]
-
-
-def test_classify_matches_every_swap_compare_on_swaps_and_their_products_to_120():
-    # 4640 matrices: every swap of each order up to 120, and every product of two
-    for order in range(1, 121):
-        swaps = _swap_indexes(order)
-        for u in swaps:
-            assert classify_tcm(_perm_dense(u)) == every_swap_classify_tcm(_perm_dense(u))
-            for v in swaps:
-                m = _perm_dense(v[u])
-                assert classify_tcm(m) == every_swap_classify_tcm(m), (order, u, v)
-
-
-def test_classify_matches_every_swap_compare_on_swaps_to_400():
+def test_classify_matches_isin_oracle_on_swaps_to_400():
     for order in range(121, 401):
-        for u in _swap_indexes(order):
-            m = _perm_dense(u)
-            assert classify_tcm(m) == every_swap_classify_tcm(m), order
+        for n in (n for n in range(1, order + 1) if order % n == 0):
+            m = _perm_dense(induced_index_perm(DimList((n, order // n)), Sigma((2, 1))).index)
+            assert classify_tcm(m) == isin_classify_tcm(m), (n, order // n)
 
 
-def test_classify_matches_every_swap_compare_on_random_permutations():
+def test_classify_matches_isin_oracle_on_random_permutations():
     # Row 1's column is moved to 0 (no candidate), 1 (the identity) and each
     # divisor of the order (one swap), so every branch of the row-1 rule sees
     # a permutation that its candidate does not match.
@@ -111,7 +98,7 @@ def test_classify_matches_every_swap_compare_on_random_permutations():
                 r = int(np.flatnonzero(cols == target)[0])
                 cols[[1, r]] = cols[[r, 1]]
             m = _perm_dense(cols)
-            assert classify_tcm(m) == every_swap_classify_tcm(m), (order, cols)
+            assert classify_tcm(m) == isin_classify_tcm(m), (order, cols)
 
 
 @pytest.mark.parametrize("rows, labels", [
@@ -125,7 +112,7 @@ def test_classify_matches_every_swap_compare_on_random_permutations():
 ], ids=["0", "1", "1-zero", "2-identity", "2-reversal", "2-row-pair", "2-column-pair"])
 def test_classify_at_orders_0_1_2(rows, labels):
     assert classify_tcm(np.array(rows)) == labels
-    assert every_swap_classify_tcm(np.array(rows)) == labels
+    assert isin_classify_tcm(np.array(rows)) == labels
 
 
 @pytest.mark.parametrize("rows", [
@@ -209,15 +196,14 @@ def _normal_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
-# The compare runs in K's layout when K's last factor axis is longer than
-# K''s (2x3; and 2,3,4, whose sigma is not its own inverse), and in K''s
-# otherwise: 3x2, the tie 2,3,2, and 1,1, whose factors all have size 1.
-_LAYOUT_SPECS = [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1)), tcm_spec(2, 3),
+# A swap and its transpose; two cyclic sigmas, which are not their own
+# inverse; and 1,1, whose factors all have size 1, so K has no factor axes.
+_CONJUGATION_SPECS = [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1)), tcm_spec(2, 3),
                  TensorPermSpec((2, 3, 4), (2, 3, 1)), TensorPermSpec((1, 1), (2, 1))]
-_LAYOUT_IDS = ["3x2", "2,3,2", "2x3", "2,3,4", "1,1"]
+_CONJUGATION_IDS = ["3x2", "2,3,2", "2x3", "2,3,4", "1,1"]
 
 
-@pytest.mark.parametrize("spec", _LAYOUT_SPECS, ids=_LAYOUT_IDS)
+@pytest.mark.parametrize("spec", _CONJUGATION_SPECS, ids=_CONJUGATION_IDS)
 def test_conjugation_tolerates_rounding_of_complex_factors(spec):
     # the two Kronecker products round a*b and b*a differently, so exact
     # equality fails for most draws of these factors
@@ -226,7 +212,7 @@ def test_conjugation_tolerates_rounding_of_complex_factors(spec):
         assert commutation_conjugation_check(spec, [_normal_complex(rng, d) for d in spec.dims])
 
 
-@pytest.mark.parametrize("spec", _LAYOUT_SPECS, ids=_LAYOUT_IDS)
+@pytest.mark.parametrize("spec", _CONJUGATION_SPECS, ids=_CONJUGATION_IDS)
 def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
     # Both sides are built from the same factors, so the identity always
     # holds; to see that the tolerance still catches a real error, the
@@ -248,7 +234,7 @@ def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
     assert not commutation_conjugation_check(spec, mats)
 
 
-@pytest.mark.parametrize("spec", _LAYOUT_SPECS, ids=_LAYOUT_IDS)
+@pytest.mark.parametrize("spec", _CONJUGATION_SPECS, ids=_CONJUGATION_IDS)
 def test_conjugation_rejects_a_perturbed_integer_product(spec, monkeypatch):
     # The integer twin of the complex case: K' = A_sigma(1) (x) ... comes out
     # of the last Kronecker product with one entry raised by 1, which the
