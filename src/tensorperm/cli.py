@@ -22,7 +22,6 @@ from .index_algebra import DimList, Sigma, _check_implicit, induced_index_perm
 from .matrix_core import DEFAULT_DENSE_BOUND, CapacityError, _check_capacity, kron
 from .perm_matrix import (
     TensorPermSpec,
-    _swaps,
     apply as apply_perm,
     build_delta,
     build_elementary_sum,
@@ -149,19 +148,16 @@ def _cmd_classify(args) -> int:
     if order < 1:
         raise ValueError(f"order must be a positive integer, got {order}")
     _check_capacity(order, args.dense_bound)
-    perms = _swaps(order)
-    labels_of = {}  # IndexPerm equality and hashing are by value
-    for pair, perm in perms.items():
-        labels_of.setdefault(perm, []).append(pair)
-    identity = perms[(1, order)]  # U[1(x)N] moves nothing
-    for (n, p), perm in perms.items():
-        marks = []
-        if perm == identity:
-            marks.append("identity")
-        partners = [f"{a}x{b}" for a, b in labels_of[perm] if (a, b) != (n, p)]
-        if partners:
-            marks.append("= " + " = ".join(partners))
-        print(" ".join([f"{n}x{p}", *marks]).rstrip())
+    _check_implicit(order)  # the bound on every swap's index permutation
+    # U[1(x)N] = U[N(x)1] is the identity; for n, p >= 2, U[n(x)p] holds row
+    # 1's 1 in column p, so no other two swaps of one order coincide
+    for n in range(1, order + 1):
+        if order % n == 0:
+            p = order // n
+            if n == 1 or p == 1:
+                print(f"{n}x{p} identity" + (f" = {p}x{n}" if order > 1 else ""))
+            else:
+                print(f"{n}x{p}")
     return 0
 
 

@@ -94,15 +94,20 @@ def _common_domain(a: np.ndarray, b: np.ndarray) -> str:
     return da
 
 
+def _max_abs(m: np.ndarray) -> int:
+    # a Python int, since abs() of the int64 minimum wraps in numpy
+    return max(-int(m.min()), int(m.max())) if m.size else 0
+
+
+def _check_reach(bound: int) -> None:
+    if bound > _INT64_MAX:
+        raise ValueError(f"integer entries could reach {bound}, past int64")
+
+
 def _check_int64(a: np.ndarray, b: np.ndarray, terms: int) -> None:
     """Refuse integer operands whose sums of ``terms`` entrywise products
     could leave int64, before any product is formed."""
-    bound = terms
-    for m in (a, b):
-        # Python ints, since abs() of the int64 minimum wraps in numpy
-        bound *= max(-int(m.min()), int(m.max())) if m.size else 0
-    if bound > _INT64_MAX:
-        raise ValueError(f"integer entries could reach {bound}, past int64")
+    _check_reach(terms * _max_abs(a) * _max_abs(b))
 
 
 def kron(a, b, dense_bound: int = DEFAULT_DENSE_BOUND) -> np.ndarray:
@@ -126,6 +131,79 @@ def kron(a, b, dense_bound: int = DEFAULT_DENSE_BOUND) -> np.ndarray:
     else:
         product = a[:, None, :, None] * b[None, :, None, :]
     return product.reshape(ra * rb, ca * cb)
+
+
+def _kron_operands(mats: list) -> list[np.ndarray]:
+    """The factors of ``reduce(kron, mats)`` as :func:`kron` converts them,
+    refused where that chain would refuse them, with its error and in its
+    order, but with no product formed.
+
+    max|A (x) B| = max|A| * max|B| for integers, so the int64 reach of each
+    step of the chain is the running product of the factors' max-abs values.
+    """
+    first = _as_matrix(mats[0])
+    operands = [first]
+    reach = _max_abs(first) if domain_of(first) == INT_DOMAIN else None
+    for b in mats[1:]:
+        b = _as_matrix(b)
+        _common_domain(first, b)
+        if reach is not None:
+            reach *= _max_abs(b)
+            _check_reach(reach)
+        operands.append(b)
+    return operands
+
+
+def _kron_rows(mats: list[np.ndarray], rows: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """Rows of mats[0] (x) mats[1] (x) ..., block row b taking row rows[t][b]
+    of each factor t (a 1-entry index broadcasts over the block).
+
+    The block is the left fold that ``reduce(kron, mats)`` computes, with the
+    running product on the left of every multiplication, so each entry is the
+    same product. Each step puts the longer operand on numpy's inner loop, so
+    the block's columns come out with their factor axes in some order:
+    returned with the block is the factor (its position in ``mats``) of each
+    axis, outermost first. Size-1 factors add no axis.
+    """
+    block = mats[0][rows[0]]
+    axes = [0] if mats[0].shape[1] > 1 else []
+    for t in range(1, len(mats)):
+        part = mats[t][rows[t]]
+        n = part.shape[1]
+        if block.shape[1] >= n:
+            product = block[:, None, :] * part[:, :, None]
+            if n > 1:
+                axes.insert(0, t)
+        else:
+            product = block[:, :, None] * part[:, None, :]
+            axes.append(t)
+        block = product.reshape(product.shape[0], -1)
+    return block, axes
+
+
+def _conjugated_rows(mats: list[np.ndarray], mapping: tuple[int, ...],
+                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of U . K . U^T and of K', as two arrays of one shape: the
+    row axis, then one axis per factor of size > 1. K is mats[0] (x) mats[1]
+    (x) ..., K' takes the factors in the order mats[s - 1] for s in
+    ``mapping``, and U is the permutation matrix that reorders them so.
+
+    Each row number is split into digits over K''s factor sizes; digit t is
+    the row of factor mapping[t] on both sides (Van Loan 2000).
+    """
+    permuted = [mats[s - 1] for s in mapping]
+    out_dims = [m.shape[0] for m in permuted]
+    kept = [t for t, d in enumerate(out_dims) if d > 1]
+    digits = [np.zeros(1, dtype=np.intp)] * len(mapping)  # row 0 of a size-1 factor
+    if kept:
+        for t, part in zip(kept, np.unravel_index(rows, [out_dims[t] for t in kept])):
+            digits[t] = part
+    k_prime, prime_axes = _kron_rows(permuted, digits)
+    k, k_axes = _kron_rows(mats, [digits[mapping.index(f + 1)] for f in range(len(mats))])
+    # K''s axis j belongs to factor mapping[prime_axes[j]]; view K's in that order
+    k = k.reshape([len(k)] + [mats[f].shape[0] for f in k_axes]).transpose(
+        [0] + [1 + k_axes.index(mapping[t] - 1) for t in prime_axes])
+    return k, k_prime.reshape(k.shape)
 
 
 def matmul(a, b) -> np.ndarray:

@@ -26,14 +26,13 @@ Three constructions are provided and must agree:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
 
 import numpy as np
 
-from .index_algebra import (DimList, IndexPerm, Sigma, _check_arity, _check_implicit,
-                            _check_length, _factor_axes, _induced_index,
-                            _permute_factors, induced_index_perm)
-from .matrix_core import DEFAULT_DENSE_BOUND, _check_capacity, domain_of, kron, matrices_close
+from .index_algebra import (DimList, Sigma, _check_arity, _check_implicit, _check_length,
+                            _induced_index, _permute_factors, induced_index_perm)
+from .matrix_core import (DEFAULT_DENSE_BOUND, _check_capacity, _conjugated_rows, _kron_operands,
+                          domain_of)
 
 __all__ = [
     "TensorPermSpec",
@@ -190,6 +189,11 @@ def apply(spec: TensorPermSpec, v):
     return induced_index_perm(spec.dims, spec.sigma).apply(v)
 
 
+# Entries per block of rows in the conjugation check: two blocks and their
+# temporaries stay within a core's L2 cache, even for complex128.
+_BLOCK_ENTRIES = 2 ** 15
+
+
 def commutation_conjugation_check(spec: TensorPermSpec, matrices,
                                   dense_bound: int = DEFAULT_DENSE_BOUND) -> bool:
     """True iff U . (A1 (x) ... (x) Ak) = (A_sigma(1) (x) ... (x) A_sigma(k)) . U
@@ -198,31 +202,44 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     4 * k * eps * max|K'| for k factors, since the two Kronecker products
     multiply each entry's factors in different orders.
 
-    Since U is a permutation matrix, the identity is U . K . U^T = K'. Read
-    as a tensor with one axis per factor for its rows and one per factor for
-    its columns, K = A1 (x) ... (x) Ak becomes U . K . U^T when both axis
-    groups are reordered by sigma, so the left side is a strided view of K
-    with no index gather and no matrix product.
+    Since U is a permutation matrix, the identity is U . K . U^T = K'. Row r
+    of K' = A_sigma(1) (x) ... (x) A_sigma(k), read as a multi-index over the
+    permuted dimensions, is the Kronecker product of row i_t of each factor
+    A_sigma(t); row r of U . K . U^T is the product of the same factor rows
+    taken in the order of K = A1 (x) ... (x) Ak, with its columns reordered
+    by sigma (Van Loan 2000). Both sides are built and compared one block of
+    about 2**15 entries of rows at a time, so no N x N array is formed and
+    the extra memory does not grow with N**2. Errors are those of the two
+    whole Kronecker products, raised before any product is formed.
     """
     _check_capacity(spec.size, dense_bound)
     mats = [np.asarray(a) for a in matrices]
     dims = spec.dims.dims
+    mapping = spec.sigma.mapping
     if len(mats) != len(dims):
         raise ValueError(f"expected {len(dims)} matrices, got {len(mats)}")
     for t, (a, d) in enumerate(zip(mats, dims), start=1):
         if a.shape != (d, d):
             raise ValueError(f"matrix {t} must be {d}x{d}, got {a.shape}")
         domain_of(a)  # a single factor never reaches kron's domain check
-    kron_within_bound = partial(kron, dense_bound=dense_bound)
-    forward = reduce(kron_within_bound, mats)
-    permuted = reduce(kron_within_bound, [mats[s - 1] for s in spec.sigma.mapping])
-    shape, axes = _factor_axes(dims, spec.sigma.mapping)
-    out_shape = tuple(shape[a] for a in axes)
-    conjugated = forward.reshape(shape + shape).transpose(axes + [a + len(shape) for a in axes])
-    if not np.iscomplexobj(permuted):
-        return bool(np.array_equal(conjugated, permuted.reshape(out_shape + out_shape)))
-    tol = 4 * len(mats) * np.finfo(np.float64).eps * np.abs(permuted).max()
-    return matrices_close(conjugated.reshape(permuted.shape), permuted, tol)
+    if len(mats) > 1:  # as in reduce(kron), a single factor is compared as given
+        mats = _kron_operands(mats)
+        _kron_operands([mats[s - 1] for s in mapping])  # the int64 reach of K''s chain
+    n = spec.size
+    step = max(1, _BLOCK_ENTRIES // n)
+    exact = not np.iscomplexobj(mats[0])
+    worst, scale = [], []
+    for start in range(0, n, step):
+        k, k_prime = _conjugated_rows(mats, mapping, np.arange(start, min(start + step, n)))
+        if exact:
+            if not np.array_equal(k, k_prime):
+                return False
+        else:
+            scale.append(np.abs(k_prime).max())
+            np.subtract(k_prime, k, out=k_prime)
+            worst.append(np.abs(k_prime).max())
+        del k, k_prime  # freed before the next block is built
+    return exact or bool(np.max(worst) <= 4 * len(mats) * np.finfo(np.float64).eps * np.max(scale))
 
 
 def _row_ones(m: np.ndarray, nonzero: int) -> np.ndarray | None:
@@ -257,12 +274,6 @@ def is_permutation_matrix(m) -> bool:
     hit = np.zeros(m.shape[0], dtype=bool)
     hit[cols] = True
     return bool(hit.all())
-
-
-def _swaps(order: int) -> dict[tuple[int, int], IndexPerm]:
-    """The index permutation of U[n(x)p] for each n * p == order, by increasing n."""
-    return {(n, order // n): induced_index_perm(DimList((n, order // n)), Sigma((2, 1)))
-            for n in range(1, order + 1) if order % n == 0}
 
 
 def classify_tcm(m) -> list[TcmLabel]:

@@ -5,10 +5,12 @@ instead of arithmetic, explicit block assembly instead of vectorized kron.
 
 import itertools
 import math
+from functools import partial, reduce
 
 import numpy as np
 
 from tensorperm import (
+    DEFAULT_DENSE_BOUND,
     ClosureReport,
     DimList,
     Sigma,
@@ -16,9 +18,12 @@ from tensorperm import (
     build_stride_rule,
     generalized_gellmann,
     induced_index_perm,
+    kron,
+    matrices_close,
 )
 from tensorperm.formats import _fmt_float
-from tensorperm.index_algebra import _flatten, _unflatten
+from tensorperm.index_algebra import _factor_axes, _flatten, _unflatten
+from tensorperm.matrix_core import _check_capacity, domain_of
 
 
 def lex_position(dims, parts):
@@ -208,3 +213,51 @@ def nested_write_decomposition(dec, tol):
             if abs(c) > tol:
                 lines.append(f"{a} {b} {_fmt_float(c.real)} {_fmt_float(c.imag)}")
     return "\n".join(lines) + "\n"
+
+
+def whole_conjugation_check(spec, matrices, dense_bound=DEFAULT_DENSE_BOUND):
+    """commutation_conjugation_check on the whole N x N Kronecker products:
+    both chains are formed by ``reduce(kron)``, and K, read as a tensor of
+    shape dims + dims, is compared through a view with both axis groups
+    reordered by sigma. Errors are those of the kron chains."""
+    _check_capacity(spec.size, dense_bound)
+    mats = [np.asarray(a) for a in matrices]
+    dims = spec.dims.dims
+    if len(mats) != len(dims):
+        raise ValueError(f"expected {len(dims)} matrices, got {len(mats)}")
+    for t, (a, d) in enumerate(zip(mats, dims), start=1):
+        if a.shape != (d, d):
+            raise ValueError(f"matrix {t} must be {d}x{d}, got {a.shape}")
+        domain_of(a)  # a single factor never reaches kron's domain check
+    kron_within_bound = partial(kron, dense_bound=dense_bound)
+    forward = reduce(kron_within_bound, mats)
+    permuted = reduce(kron_within_bound, [mats[s - 1] for s in spec.sigma.mapping])
+    shape, axes = _factor_axes(dims, spec.sigma.mapping)
+    out_shape = tuple(shape[a] for a in axes)
+    conjugated = forward.reshape(shape + shape).transpose(axes + [a + len(shape) for a in axes])
+    if not np.iscomplexobj(permuted):
+        return bool(np.array_equal(conjugated, permuted.reshape(out_shape + out_shape)))
+    tol = 4 * len(mats) * np.finfo(np.float64).eps * np.abs(permuted).max()
+    return matrices_close(conjugated.reshape(permuted.shape), permuted, tol)
+
+
+def swap_table(order):
+    """CLI ``classify --order`` text from every swap's index permutation,
+    grouped by value: each label, ``identity`` if its permutation moves
+    nothing, and the labels of the same permutation."""
+    perms = {(n, order // n): induced_index_perm(DimList((n, order // n)), Sigma((2, 1)))
+             for n in range(1, order + 1) if order % n == 0}
+    labels_of = {}  # IndexPerm equality and hashing are by value
+    for pair, perm in perms.items():
+        labels_of.setdefault(perm, []).append(pair)
+    identity = perms[(1, order)]  # U[1(x)N] moves nothing
+    lines = []
+    for (n, p), perm in perms.items():
+        marks = []
+        if perm == identity:
+            marks.append("identity")
+        partners = [f"{a}x{b}" for a, b in labels_of[perm] if (a, b) != (n, p)]
+        if partners:
+            marks.append("= " + " = ".join(partners))
+        lines.append(" ".join([f"{n}x{p}", *marks]).rstrip())
+    return "".join(line + "\n" for line in lines)

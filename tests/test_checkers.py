@@ -1,6 +1,9 @@
 """The checkers, which run on index permutations, against dense matrix
 algebra oracles."""
 
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from tensorperm import (
     Sigma,
     TcmLabel,
     TensorPermSpec,
+    build_delta,
     build_stride_rule,
     classify_tcm,
     closure_check,
@@ -20,15 +24,19 @@ from tensorperm import (
     induced_index_perm,
     is_permutation_matrix,
     kron,
-    perm_matrix,
+    matrix_core,
     tcm_spec,
 )
 
+import oracles
 from oracles import (
+    all_specs,
     dense_closure,
     dense_trace_decomposition,
     isin_classify_tcm,
     isin_is_permutation_matrix,
+    naive_kron,
+    whole_conjugation_check,
 )
 
 
@@ -212,47 +220,65 @@ def test_conjugation_tolerates_rounding_of_complex_factors(spec):
         assert commutation_conjugation_check(spec, [_normal_complex(rng, d) for d in spec.dims])
 
 
+def _scale_largest(a, factor):
+    a = np.array(a)
+    a.flat[np.abs(a).argmax()] *= factor
+    return a
+
+
+_KRON_ROWS = matrix_core._kron_rows
+
+
+def _perturbing_k_prime(monkeypatch, perturb):
+    """Route matrix_core._kron_rows through ``perturb(mats, rows, seen)``,
+    which returns the block of K' = A_sigma(1) (x) ... to compare; ``seen``
+    counts K''s rows in earlier blocks. Each block builds K' first, then K."""
+    calls, seen = [], [0]
+
+    def wrapped(mats, rows):
+        calls.append(1)
+        if len(calls) % 2 == 0:  # K
+            return _KRON_ROWS(mats, rows)
+        block, axes = perturb(mats, rows, seen[0])
+        seen[0] += len(block)
+        return block, axes
+
+    monkeypatch.setattr(matrix_core, "_kron_rows", wrapped)
+
+
 @pytest.mark.parametrize("spec", _CONJUGATION_SPECS, ids=_CONJUGATION_IDS)
 def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
     # Both sides are built from the same factors, so the identity always
     # holds; to see that the tolerance still catches a real error, the
-    # product K' = A_sigma(1) (x) ... gets its first factor's largest entry
-    # scaled by 1 + 1e-9.
+    # blocks of K' = A_sigma(1) (x) ... are built with that first factor's
+    # largest entry scaled by 1 + 1e-9.
     rng = np.random.default_rng(11)
     mats = [_normal_complex(rng, d) for d in spec.dims]
     assert commutation_conjugation_check(spec, mats)
-    calls = []
-
-    def kron_perturbing_k_prime(a, b, dense_bound):
-        calls.append(1)
-        if len(calls) == len(mats):  # K takes k - 1 products, then K' starts
-            a = a.copy()
-            a.flat[np.abs(a).argmax()] *= 1 + 1e-9
-        return kron(a, b, dense_bound=dense_bound)
-
-    monkeypatch.setattr(perm_matrix, "kron", kron_perturbing_k_prime)
+    _perturbing_k_prime(monkeypatch, lambda ms, rows, seen: _KRON_ROWS(
+        [_scale_largest(ms[0], 1 + 1e-9), *ms[1:]], rows))
     assert not commutation_conjugation_check(spec, mats)
 
 
 @pytest.mark.parametrize("spec", _CONJUGATION_SPECS, ids=_CONJUGATION_IDS)
 def test_conjugation_rejects_a_perturbed_integer_product(spec, monkeypatch):
-    # The integer twin of the complex case: K' = A_sigma(1) (x) ... comes out
-    # of the last Kronecker product with one entry raised by 1, which the
-    # exact compare of U . K . U^T with K' must catch wherever it lands.
+    # The integer twin of the complex case: one entry of K' comes out of its
+    # block raised by 1, which the exact compare of U . K . U^T with K' must
+    # catch wherever it lands. Entry (r, c) is row r's c-th block column;
+    # the block's columns are K''s in some order, so every entry is raised once.
     rng = np.random.default_rng(11)
     mats = [rng.integers(-9, 10, (d, d)) for d in spec.dims]
     assert commutation_conjugation_check(spec, mats)
     for entry in range(spec.size ** 2):
-        calls = []
+        row, col = divmod(entry, spec.size)
 
-        def kron_perturbing_k_prime(a, b, dense_bound):
-            calls.append(1)
-            out = kron(a, b, dense_bound=dense_bound)
-            if len(calls) == 2 * (len(mats) - 1):  # the last product of K'
-                out.flat[entry] += 1
-            return out
+        def raise_entry(ms, rows, seen):
+            block, axes = _KRON_ROWS(ms, rows)
+            if seen <= row < seen + len(block):
+                block[row - seen, col] += 1
+            return block, axes
 
-        monkeypatch.setattr(perm_matrix, "kron", kron_perturbing_k_prime)
+        _perturbing_k_prime(monkeypatch, raise_entry)
         assert not commutation_conjugation_check(spec, mats), entry
 
 
@@ -275,10 +301,10 @@ def test_conjugation_takes_a_dense_bound(monkeypatch):
     mats = [np.arange(9).reshape(3, 3), np.arange(4).reshape(2, 2)]
     assert commutation_conjugation_check(tcm_spec(3, 2), mats, dense_bound=6)
     calls = []
-    monkeypatch.setattr(perm_matrix, "kron", lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(matrix_core, "_kron_rows", lambda *args: calls.append(1))
     with pytest.raises(CapacityError, match="dense order 6 exceeds dense bound 5"):
         commutation_conjugation_check(tcm_spec(3, 2), mats, dense_bound=5)
-    assert not calls  # refused before any Kronecker product
+    assert not calls  # refused before any block of a Kronecker product
 
 
 @pytest.mark.parametrize("mats", [
@@ -293,3 +319,165 @@ def test_conjugation_refuses_real_float_and_mixed_factors(mats):
 def test_conjugation_refuses_a_single_real_float_factor():
     with pytest.raises(ValueError, match="domain"):
         commutation_conjugation_check(TensorPermSpec((3,), (1,)), [np.eye(3)])
+
+
+def _both(spec, mats):
+    """Outcome of the blocked check and of the whole-matrix oracle."""
+    return (_outcome(lambda ms: commutation_conjugation_check(spec, ms), mats),
+            _outcome(lambda ms: whole_conjugation_check(spec, ms), mats))
+
+
+def test_conjugation_matches_the_whole_matrix_oracle_on_every_spec_to_36():
+    rng = np.random.default_rng(36)
+    for dims, mapping in all_specs(36):
+        spec = TensorPermSpec(dims, mapping)
+        got, want = _both(spec, [rng.integers(-9, 10, (d, d)) for d in dims])
+        assert got == want == ("result", True), (dims, mapping)
+
+
+def test_conjugation_matches_naive_dense_products():
+    # U . K . U^T with U from build_delta and K, K' by explicit block assembly
+    rng = np.random.default_rng(12)
+    for dims, mapping in all_specs(12):
+        spec = TensorPermSpec(dims, mapping)
+        mats = [rng.integers(-9, 10, (d, d)) for d in dims]
+        u = build_delta(spec)
+        k = np.array(reduce(naive_kron, [m.tolist() for m in mats]), dtype=np.int64)
+        k_prime = np.array(reduce(naive_kron, [mats[s - 1].tolist() for s in mapping]),
+                           dtype=np.int64)
+        assert np.array_equal(u @ k @ u.T, k_prime) is commutation_conjugation_check(spec, mats)
+
+
+# Orders 1000 and 1021 leave a last block of fewer rows than the others.
+_UNEVEN_SPECS = [TensorPermSpec((10, 10, 10), (3, 1, 2)), tcm_spec(8, 125), tcm_spec(1021, 1),
+                 tcm_spec(1, 1021), TensorPermSpec((1021,), (1,))]
+_UNEVEN_IDS = ["10,10,10", "8x125", "1021x1", "1x1021", "1021"]
+
+
+@pytest.mark.parametrize("spec", _UNEVEN_SPECS, ids=_UNEVEN_IDS)
+def test_conjugation_matches_the_oracle_on_a_partial_last_block(spec, monkeypatch):
+    rng = np.random.default_rng(1000)
+    ints = [rng.integers(-9, 10, (d, d)) for d in spec.dims]
+    assert _both(spec, ints) == (("result", True),) * 2
+    assert _both(spec, [_normal_complex(rng, d) for d in spec.dims]) == (("result", True),) * 2
+
+    def raise_last_entry(ms, rows, seen):
+        block, axes = _KRON_ROWS(ms, rows)
+        if seen + len(block) == spec.size:
+            block[-1, -1] += 1
+        return block, axes
+
+    _perturbing_k_prime(monkeypatch, raise_last_entry)
+    assert not commutation_conjugation_check(spec, ints)
+
+
+@pytest.mark.parametrize("spec", [tcm_spec(3, 2), TensorPermSpec((2, 3, 4), (2, 3, 1)),
+                                  TensorPermSpec((10, 10, 10), (3, 1, 2)), tcm_spec(8, 125)],
+                         ids=["3x2", "2,3,4", "10,10,10", "8x125"])
+def test_conjugation_matches_the_oracle_at_the_complex_tolerance(spec, monkeypatch):
+    # K''s first factor's largest entry scaled by 1 + h, with h around the
+    # tolerance's 4 * k * eps: both checks build K' from the same perturbed
+    # factor, so they must agree on each side of the tolerance.
+    rng = np.random.default_rng(4)
+    mats = [_normal_complex(rng, d) for d in spec.dims]
+    k = len(mats)
+    outcomes = []
+    for m in np.linspace(0.25, 2, 15):
+        factor = 1 + m * 4 * k * np.finfo(np.float64).eps
+        _perturbing_k_prime(monkeypatch, lambda ms, rows, seen: _KRON_ROWS(
+            [_scale_largest(ms[0], factor), *ms[1:]], rows))
+        calls = []
+
+        def kron_scaling_k_prime(a, b, dense_bound):
+            calls.append(1)
+            if len(calls) == k:  # K takes k - 1 products, then K' starts
+                a = _scale_largest(a, factor)
+            return kron(a, b, dense_bound=dense_bound)
+
+        monkeypatch.setattr(oracles, "kron", kron_scaling_k_prime)
+        got, want = _both(spec, mats)
+        assert got == want, m
+        outcomes.append(got)
+    assert set(outcomes) == {("result", True), ("result", False)}
+
+
+_NAN = np.array([[1, 2, 3], [4, np.nan, 5], [1, 1, 1]]) + 0j
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("spec, mats", [
+    (TensorPermSpec((5,), (1,)), [np.arange(25).reshape(5, 5)]),
+    (TensorPermSpec((5,), (1,)), [np.arange(25).reshape(5, 5) * 1j]),
+    (TensorPermSpec((1,), (1,)), [np.array([[7]])]),
+    (TensorPermSpec((3,), (1,)), [_NAN]),
+    (TensorPermSpec((3,), (1,)), [np.full((3, 3), 2**63, dtype=np.uint64)]),
+    (TensorPermSpec((3,), (1,)), [np.eye(3, dtype=np.complex64)]),
+    (TensorPermSpec((3,), (1,)), [np.eye(3)]),
+    (tcm_spec(3, 2), [_NAN, np.eye(2) + 0j]),
+    (tcm_spec(3, 2), [_NAN.real + np.inf * 1j, np.eye(2) + 0j]),
+    (tcm_spec(3, 2), [np.eye(3, dtype=np.int8) * 100, np.eye(2, dtype=np.int16) * 300]),
+    (tcm_spec(3, 2), [np.eye(3, dtype=np.complex64), np.eye(2, dtype=np.complex64)]),
+], ids=["k1-int", "k1-complex", "k1-1x1", "k1-nan", "k1-uint64-past-int64", "k1-complex64",
+        "k1-float", "nan", "inf", "int8-int16", "complex64"])
+def test_conjugation_matches_the_oracle_on_single_factors_and_odd_entries(spec, mats):
+    got, want = _both(spec, mats)
+    assert got == want
+
+
+@pytest.mark.parametrize("k", [33, 65])
+def test_conjugation_matches_the_oracle_past_32_factors(k):
+    rng = np.random.default_rng(k)
+    dims = (2, 3) + (1,) * (k - 2)
+    spec = TensorPermSpec(dims, tuple(rng.permutation(k) + 1))
+    ints = [rng.integers(-9, 10, (d, d)) if d > 1 else rng.choice([-1, 1], (1, 1)) for d in dims]
+    assert _both(spec, ints) == (("result", True),) * 2
+    complexes = [_normal_complex(rng, d) if d > 1 else rng.choice([1, -1, 1j, -1j], (1, 1))
+                 for d in dims]
+    assert _both(spec, complexes) == (("result", True),) * 2
+
+
+_BIG = np.full((2, 2), 2**40)
+
+
+@pytest.mark.parametrize("spec, mats", [
+    (tcm_spec(3, 2), [np.eye(3, dtype=np.int64)]),
+    (tcm_spec(3, 2), [np.eye(3, dtype=np.int64)] * 2),
+    (tcm_spec(3, 2), [np.eye(3, dtype=np.int64)] * 3),
+    (tcm_spec(3, 2), [np.eye(3), np.eye(2)]),
+    (tcm_spec(3, 2), [np.eye(3, dtype=bool), np.eye(2, dtype=np.int64)]),
+    (tcm_spec(3, 2), [np.eye(3, dtype=np.int64), np.eye(2, dtype=np.complex128)]),
+    (tcm_spec(3, 2), [np.eye(3, dtype=np.complex128), np.eye(2, dtype=np.int64)]),
+    (tcm_spec(3, 2), [np.eye(3, dtype=np.int64), np.full((2, 2), 2**63, dtype=np.uint64)]),
+    (tcm_spec(3, 2), [np.full((3, 3), 2**63, dtype=np.uint64), np.eye(2)]),
+    (tcm_spec(3, 2), [np.full((3, 3), 2**40), np.full((2, 2), 2**30)]),
+    (tcm_spec(3, 2), [np.full((3, 3), -2**63), np.full((2, 2), -1)]),
+    # the forward chain's reach is 0 after the zero factor; K''s is not
+    (TensorPermSpec((3, 2, 2), (2, 3, 1)), [np.zeros((3, 3), dtype=np.int64), _BIG, _BIG]),
+    (TensorPermSpec((3, 2, 2), (3, 1, 2)), [np.full((3, 3), 2**20), _BIG, _BIG]),
+    (TensorPermSpec((3, 2, 2), (3, 1, 2)), [np.full((3, 3), 2**20), _BIG, np.eye(2)]),
+    (tcm_spec(65, 64), [np.eye(65, dtype=np.int64), np.eye(64, dtype=np.int64)]),
+], ids=["count-1", "shape", "count-3", "float", "bool", "int-complex", "complex-int",
+        "uint64-second", "uint64-before-float", "reach", "reach-int64-min", "reach-of-k-prime",
+        "reach-third-step", "reach-before-float", "dense-bound"])
+def test_conjugation_refuses_as_the_oracle_does(spec, mats):
+    got, want = _both(spec, mats)
+    assert got == want
+    assert got[0] != "result"
+
+
+@pytest.mark.parametrize("spec, dtype", [
+    (TensorPermSpec((32, 4, 4, 2), (1, 3, 4, 2)), np.int64),
+    (TensorPermSpec((8, 8, 8, 8), (3, 2, 4, 1)), np.complex128),
+    (tcm_spec(2, 2048), np.complex128),
+], ids=["1024-int64", "4096-complex128", "2x2048-complex128"])
+def test_conjugation_memory_does_not_grow_with_n_squared(spec, dtype):
+    # one N x N int64 array is 8 MB at order 1024; a complex128 one 268 MB at 4096
+    rng = np.random.default_rng(2)
+    mats = [rng.integers(-9, 10, (d, d)).astype(dtype) for d in spec.dims]
+    tracemalloc.start()
+    try:
+        assert commutation_conjugation_check(spec, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6

@@ -17,6 +17,8 @@ from tensorperm import build_delta, cli, index_algebra, tcm_spec
 from tensorperm.cli import main
 from tensorperm.formats import format_scalar, parse_matrix_market
 
+from oracles import swap_table
+
 
 def run_cli(args, capsys):
     try:
@@ -229,6 +231,12 @@ def test_classify_order_1(capsys):
     code, out, _ = run_cli(["classify", "--order", "1"], capsys)
     assert code == 0
     assert out.splitlines() == ["1x1 identity"]
+
+
+def test_classify_matches_the_table_of_every_swap_to_400(capsys):
+    for order in range(1, 401):
+        code, out, err = run_cli(["classify", "--order", str(order)], capsys)
+        assert (code, out, err) == (0, swap_table(order), ""), order
 
 
 def test_classify_validation(capsys):
