@@ -158,7 +158,7 @@ def parse_perm(text: str) -> IndexPerm:
     toks = text.split()
     if not toks:
         raise ValueError("empty permutation text")
-    n = int(toks[0])
+    n = parse_int(toks[0])
     if n < 1:
         raise ValueError(f"permutation size must be positive, got {n}")
     if len(toks) - 1 != n:

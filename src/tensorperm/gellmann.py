@@ -43,23 +43,27 @@ class HermitianBasis:
         return [self.lambda0, *self.generators]
 
 
-def _sym(n: int, j: int, k: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[j - 1, k - 1] = 1
-    m[k - 1, j - 1] = 1
-    return m
+# Slot of each canonical generator (symmetric pairs, antisymmetric pairs,
+# diagonals) in the conventional n = 3 numbering lambda1..lambda8.
+_GELLMANN_SLOTS = (1, 4, 6, 2, 5, 7, 3, 8)
 
 
-def _anti(n: int, j: int, k: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[j - 1, k - 1] = -1j
-    m[k - 1, j - 1] = 1j
-    return m
-
-
-def _diag(n: int, d: int) -> np.ndarray:
-    entries = [1.0] * d + [-float(d)] + [0.0] * (n - d - 1)
-    return math.sqrt(2.0 / (d * (d + 1))) * np.diag(entries).astype(np.complex128)
+def _basis_array(n: int) -> np.ndarray:
+    """All n^2 basis matrices in decomposition order, lambda0 first, as one
+    (n^2, n, n) complex128 array."""
+    basis = np.zeros((n * n, n, n), dtype=np.complex128)
+    basis[0] = np.eye(n)
+    slots = np.array(_GELLMANN_SLOTS) if n == 3 else np.arange(1, n * n)
+    j, k = np.triu_indices(n, 1)
+    sym, anti, diag = np.split(slots, [len(j), 2 * len(j)])
+    basis[sym, j, k] = basis[sym, k, j] = 1
+    basis[anti, j, k] = -1j
+    basis[anti, k, j] = 1j
+    for d, slot in enumerate(diag, start=1):
+        scale = math.sqrt(2.0 / (d * (d + 1)))
+        basis[slot, range(d), range(d)] = scale
+        basis[slot, d, d] = scale * -float(d)
+    return basis
 
 
 def generalized_gellmann(n: int) -> HermitianBasis:
@@ -69,19 +73,13 @@ def generalized_gellmann(n: int) -> HermitianBasis:
     antisymmetric ones, then the n - 1 diagonal matrices. For n = 3 the
     generators are reordered to the conventional Gell-Mann numbering
     lambda1..lambda8 (pairwise interleaved, diagonals at positions 3 and 8);
-    n = 2 already yields the Pauli matrices sigma1, sigma2, sigma3.
+    n = 2 already yields the Pauli matrices sigma1, sigma2, sigma3. All
+    matrices are views of one (n^2, n, n) array.
     """
     if n < 2:
         raise ValueError(f"basis needs a factor dimension of at least 2, got {n}")
-    pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-    sym = [_sym(n, j, k) for j, k in pairs]
-    anti = [_anti(n, j, k) for j, k in pairs]
-    diag = [_diag(n, d) for d in range(1, n)]
-    if n == 3:
-        generators = (sym[0], anti[0], diag[0], sym[1], anti[1], sym[2], anti[2], diag[1])
-    else:
-        generators = tuple(sym + anti + diag)
-    return HermitianBasis(n=n, lambda0=np.eye(n, dtype=np.complex128), generators=generators)
+    basis = _basis_array(n)
+    return HermitianBasis(n=n, lambda0=basis[0], generators=tuple(basis[1:]))
 
 
 def sum_lambda_kron(n: int) -> np.ndarray:
@@ -113,7 +111,7 @@ class SwapDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         """Sum the table back into an n^2 x n^2 matrix."""
-        basis = generalized_gellmann(self.n).with_identity()
+        basis = _basis_array(self.n)
         total = np.zeros((self.n * self.n, self.n * self.n), dtype=np.complex128)
         for a, b in np.argwhere(self.table):
             total += self.table[a, b] * kron(basis[a], basis[b])
@@ -132,8 +130,7 @@ def decompose_swap(n: int, dense_bound: int = DEFAULT_DENSE_BOUND) -> SwapDecomp
     if n < 2:
         raise ValueError(f"swap decomposition needs a factor dimension of at least 2, got {n}")
     _check_capacity(n * n, dense_bound)
-    # one expression, so the list of n^2 basis matrices is freed before the gather
-    flat = np.stack(generalized_gellmann(n).with_identity()).reshape(n * n, n * n)
+    flat = _basis_array(n).reshape(n * n, n * n)
     swap = induced_index_perm(DimList((n, n)), Sigma((2, 1)))
     gram = flat[:, swap.index] @ flat.T
     norms = gram.diagonal().real

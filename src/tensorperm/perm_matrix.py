@@ -131,30 +131,25 @@ def build_elementary_sum(spec: TensorPermSpec,
     return dense
 
 
-def _stride_positions_walk(n: int, p: int) -> list[tuple[int, int]]:
+def _stride_positions_walk(n: int, p: int) -> list[int]:
     # Cursor walk: 1 at (1, 1), then one column right and n rows down per
     # step; when the cursor falls off the bottom, the next sweep restarts
-    # one row lower than the previous one.
+    # one row lower than the previous one. Records each column's 1-based row.
     size = n * p
-    ones = []
-    row, col = 1, 1
+    rows = []
+    row = 1
     for _ in range(size):
-        ones.append((row, col))
-        col += 1
+        rows.append(row)
         row += n
         if row > size:
             row = row - size + 1
-    return ones
+    return rows
 
 
-def _stride_positions_closed(n: int, p: int) -> list[tuple[int, int]]:
-    # Column p*(j-1)+l carries its 1 at row n*(l-1)+j.
-    ones = []
-    for j in range(1, n + 1):
-        for l in range(1, p + 1):
-            ones.append((n * (l - 1) + j, p * (j - 1) + l))
-    ones.sort(key=lambda rc: rc[1])
-    return ones
+def _stride_positions_closed(n: int, p: int) -> np.ndarray:
+    # Column p*(j-1)+l carries its 1 at row n*(l-1)+j, so (j, l) run
+    # row-major gives the rows in column order.
+    return (n * np.arange(p) + np.arange(1, n + 1)[:, None]).ravel()
 
 
 def build_stride_rule(n: int, p: int, dense_bound: int = DEFAULT_DENSE_BOUND) -> np.ndarray:
@@ -165,11 +160,10 @@ def build_stride_rule(n: int, p: int, dense_bound: int = DEFAULT_DENSE_BOUND) ->
     size = n * p
     _check_capacity(size, dense_bound)
     walked = _stride_positions_walk(n, p)
-    if walked != _stride_positions_closed(n, p):
+    if not np.array_equal(walked, _stride_positions_closed(n, p)):
         raise RuntimeError(f"stride walk and closed form disagree for ({n}, {p})")
-    rows, cols = np.array(walked).T - 1
     dense = np.zeros((size, size), dtype=np.int64)
-    dense[rows, cols] = 1
+    dense[np.subtract(walked, 1), np.arange(size)] = 1
     return dense
 
 

@@ -160,6 +160,38 @@ def dense_closure(n, p):
     return ClosureReport(closed=True)
 
 
+def per_generator_gellmann(n):
+    """(lambda0, generators) of generalized_gellmann(n), one freshly built
+    matrix per generator: the symmetric and antisymmetric matrix of each pair
+    j < k, then the n - 1 diagonal ones, with n = 3 reordered to the
+    conventional numbering lambda1..lambda8."""
+    def sym(j, k):
+        m = np.zeros((n, n), dtype=np.complex128)
+        m[j - 1, k - 1] = 1
+        m[k - 1, j - 1] = 1
+        return m
+
+    def anti(j, k):
+        m = np.zeros((n, n), dtype=np.complex128)
+        m[j - 1, k - 1] = -1j
+        m[k - 1, j - 1] = 1j
+        return m
+
+    def diag(d):
+        entries = [1.0] * d + [-float(d)] + [0.0] * (n - d - 1)
+        return math.sqrt(2.0 / (d * (d + 1))) * np.diag(entries).astype(np.complex128)
+
+    pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    syms = [sym(j, k) for j, k in pairs]
+    antis = [anti(j, k) for j, k in pairs]
+    diags = [diag(d) for d in range(1, n)]
+    if n == 3:
+        generators = [syms[0], antis[0], diags[0], syms[1], antis[1], syms[2], antis[2], diags[1]]
+    else:
+        generators = syms + antis + diags
+    return np.eye(n, dtype=np.complex128), generators
+
+
 def dense_trace_decomposition(n):
     """Coefficient table of U[n(x)n] over the basis products, each entry the
     trace Tr(U . (B_a (x) B_b)) of a dense Kronecker product, divided by

@@ -95,6 +95,11 @@ def test_perm_parser_errors():
         parse_perm("3\n1 2\n")
     with pytest.raises(ValueError, match="empty"):
         parse_perm("")
+    # the size is integer text like every entry, checked before the count
+    with pytest.raises(ValueError, match="invalid integer text '1_0'"):
+        parse_perm("1_0\n1 2")
+    with pytest.raises(ValueError, match="invalid integer text 'abc'"):
+        parse_perm("abc\n1")
 
 
 def test_dense_format():
@@ -160,7 +165,7 @@ def test_perm_parser_rejects_nonpositive_size(text):
 @pytest.mark.parametrize("text", ["3\n0 1 2\n", "3\n1 2 4\n", "3\n1 1 2\n",
                                   "2\n1 99999999999999999999\n", "2\n1 x\n",
                                   "2\n+2 1\n", "10\n1_0 1 2 3 4 5 6 7 8 9\n",
-                                  "2\n\u0662 1\n", "2\n2\u00a01\n"])
+                                  "2\n\u0662 1\n", "2\n2\u00a01\n", "1_0\n1 2", "abc\n1"])
 def test_perm_parser_rejects_bad_entries(text):
     with pytest.raises(ValueError) as info:
         parse_perm(text)

@@ -12,6 +12,7 @@ from tensorperm import (
     tcm_spec,
 )
 
+from oracles import per_generator_gellmann
 from references import GELLMANN_REF, P9_REF, PAULI_REF
 
 BASIS_TOL = 1e-12
@@ -59,6 +60,18 @@ def test_trace_orthogonality_through_n6():
             for b, gb in enumerate(gens):
                 want = 2.0 if a == b else 0.0
                 assert abs(np.trace(ga @ gb) - want) <= BASIS_TOL
+
+
+def test_basis_matches_the_per_generator_oracle_bytewise():
+    # .tobytes(), so signed zeros and the last bit of each scale count
+    for n in range(2, 13):
+        basis = generalized_gellmann(n)
+        lambda0, generators = per_generator_gellmann(n)
+        assert basis.lambda0.tobytes() == lambda0.tobytes()
+        assert len(basis.generators) == len(generators)
+        for got, want in zip(basis.generators, generators):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_generalized_gellmann_rejects_small_n():
@@ -136,8 +149,8 @@ def test_mixed_coefficients_vanish():
 def test_decompose_swap_peak_memory():
     # One copy is the n^2 x n^2 complex128 table (n^4 * 16 bytes). The
     # flattened basis, its gather through the swap and the Gram product are
-    # needed; the Gram product becomes the table in place, and the list of
-    # n^2 basis matrices must not also be alive.
+    # needed; the Gram product becomes the table in place, and the basis is
+    # built flat, with no list of n^2 matrices or stacked copy of it.
     n = 16
     tracemalloc.start()
     try:

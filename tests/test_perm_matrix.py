@@ -19,6 +19,7 @@ from tensorperm import (
     is_permutation_matrix,
     tcm_spec,
 )
+from tensorperm import perm_matrix
 
 from oracles import all_specs, delta_entry_matrix, loop_elementary_sum, naive_kron
 from references import U222_REVERSAL_REF, U23_REF, U32_REF, U35_REF
@@ -125,6 +126,23 @@ def test_stride_rule_agrees_with_delta_up_to_64():
     for n in range(1, 65):
         for p in range(1, 64 // n + 1):
             assert np.array_equal(build_stride_rule(n, p), build_delta(tcm_spec(n, p)))
+
+
+def test_stride_rule_cross_check_fires_on_a_wrong_walk(monkeypatch):
+    def walk_restarting_on_the_same_row(n, p):
+        # the true walk restarts each sweep one row lower
+        size = n * p
+        rows, row = [], 1
+        for _ in range(size):
+            rows.append(row)
+            row += n
+            if row > size:
+                row -= size
+        return rows
+
+    monkeypatch.setattr(perm_matrix, "_stride_positions_walk", walk_restarting_on_the_same_row)
+    with pytest.raises(RuntimeError, match=r"stride walk and closed form disagree for \(3, 5\)"):
+        build_stride_rule(3, 5)
 
 
 def test_stride_rule_validation():
