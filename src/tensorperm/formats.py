@@ -79,8 +79,7 @@ def write_matrix_market(m) -> str:
     rows, cols = m.shape
     entries = np.argwhere(m != 0)
     lines = [MM_HEADER, f"{rows} {cols} {len(entries)}"]
-    for r, c in entries:
-        lines.append(f"{r + 1} {c + 1} {m[r, c]}")
+    lines += [f"{r + 1} {c + 1} {m[r, c]}" for r, c in entries]
     return "\n".join(lines) + "\n"
 
 
@@ -165,7 +164,11 @@ def parse_perm(text: str) -> IndexPerm:
         raise ValueError(f"expected {n} entries, found {len(toks) - 1}")
     if not _PERM_TEXT.fullmatch(text):
         raise ValueError("permutation text must be ASCII digits separated by ASCII whitespace")
-    return IndexPerm(toks[1:])
+    try:  # numpy reads digit strings straight into integers
+        cols = np.asarray(toks[1:], dtype=np.intp)
+    except OverflowError:
+        raise ValueError("col_of_row is not a permutation: entry out of range") from None
+    return IndexPerm(cols)
 
 
 def write_dense(m) -> str:
@@ -182,17 +185,10 @@ def write_blocks(m, block: int) -> str:
     size = m.shape[0]
     if block < 1 or size % block:
         raise ValueError(f"block size {block} does not divide order {size}")
-    groups = []
-    for top in range(0, size, block):
-        rows = []
-        for r in range(top, top + block):
-            cells = [
-                " ".join(str(v) for v in m[r, left:left + block].tolist())
-                for left in range(0, size, block)
-            ]
-            rows.append("  ".join(cells))
-        groups.append("\n".join(rows))
-    return "\n\n".join(groups) + "\n"
+    # each row as its sub-blocks of ``block`` entries
+    rows = ["  ".join(" ".join(map(str, cells)) for cells in row)
+            for row in m.reshape(size, size // block, block).tolist()]
+    return "\n\n".join("\n".join(rows[top:top + block]) for top in range(0, size, block)) + "\n"
 
 
 def write_decomposition(dec: SwapDecomposition, tol: float) -> str:

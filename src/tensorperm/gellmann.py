@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianBasis:
     """Identity plus the n^2 - 1 Hermitian traceless generators for size n."""
 
@@ -84,14 +84,10 @@ def generalized_gellmann(n: int) -> HermitianBasis:
 
 def sum_lambda_kron(n: int) -> np.ndarray:
     """The n^2 x n^2 sum of g_i (x) g_i over all generators for size n."""
-    basis = generalized_gellmann(n)
-    total = np.zeros((n * n, n * n), dtype=np.complex128)
-    for g in basis.generators:
-        total += kron(g, g)
-    return total
+    return sum(kron(g, g) for g in generalized_gellmann(n).generators)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwapDecomposition:
     """Coefficients of U[n(x)n] over the basis products, index 0 = identity.
 

@@ -15,20 +15,25 @@ one axis per factor, those axes reordered by sigma, and read back in row
 order. ``perm_matrix.apply`` permutes a numpy array that way, in one strided
 copy with no index array. :class:`IndexPerm` holds the permutation as one
 read-only 0-based ``np.intp`` array, and :func:`induced_index_perm` builds
-that array by the same transposition of ``arange(N)``, validated once in
-O(N). It serves what needs the index itself: ``apply`` on lists and tuples,
-the checkers, the dense constructions and the ``perm`` text format. Orders
-up to 2**20 are cached by (dims, sigma) with ``functools.lru_cache``, 32 at
-a time, so the cache holds at most 256 MiB of index arrays; larger orders
-are built on each call. Orders above :data:`IMPLICIT_BOUND` raise
-:class:`CapacityError` before anything is allocated. Conversion to 1-based
-indices happens only at the API and format boundaries. The per-index :func:`flatten` and
-:func:`unflatten` stay independent of that core, so tests can check one
-against the other.
+that array by the same transposition of ``arange(N)``, for what needs the
+index itself: ``apply`` on lists and tuples, the checkers, the dense
+constructions and the ``perm`` text format. Orders up to 2**20 are cached by
+(dims, sigma) with ``functools.lru_cache``, 32 at a time, so the cache holds
+at most 256 MiB of index arrays. Orders above :data:`IMPLICIT_BOUND` raise
+:class:`CapacityError` before anything is allocated.
+
+Only what enters from outside is checked: ``IndexPerm(col_of_row)``, and
+through it ``formats.parse_perm`` and unpickling, checks in O(N) that the
+columns form a permutation. The transposition, ``inverse`` and ``compose``
+yield permutations by construction and are trusted. Conversion to 1-based
+indices happens only at the API and format boundaries. The per-index
+:func:`flatten` and :func:`unflatten` stay independent of that core, so
+tests can check one against the other.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -64,7 +69,7 @@ class DimList:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(map(operator.index, self.dims))
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValueError("dimension list must contain at least one factor")
@@ -103,7 +108,7 @@ class Sigma:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple(int(v) for v in self.mapping)
+        mapping = tuple(map(operator.index, self.mapping))
         object.__setattr__(self, "mapping", mapping)
         k = len(mapping)
         if sorted(mapping) != list(range(1, k + 1)):
@@ -122,10 +127,8 @@ class Sigma:
         return len(self.mapping)
 
     def inverse(self) -> "Sigma":
-        inv = [0] * len(self.mapping)
-        for t, v in enumerate(self.mapping, start=1):
-            inv[v - 1] = t
-        return Sigma(tuple(inv))
+        # the inverse sends sigma(t) to t: the positions t in order of sigma(t)
+        return Sigma(tuple(sorted(range(1, len(self) + 1), key=lambda t: self.mapping[t - 1])))
 
     def compose(self, other: "Sigma") -> "Sigma":
         """The permutation t -> self(other(t))."""
@@ -150,11 +153,9 @@ def _flatten(dims: tuple[int, ...], parts: tuple[int, ...]) -> int:
 
 def flatten(dims: DimList, parts: Sequence[int]) -> int:
     """Linear position (1-based) of a multi-index, per the lexicographic rule."""
-    parts = tuple(int(i) for i in parts)
+    parts = tuple(map(operator.index, parts))
     if len(parts) != len(dims):
-        raise ValueError(
-            f"multi-index has {len(parts)} parts but there are {len(dims)} factors"
-        )
+        raise ValueError(f"multi-index has {len(parts)} parts but there are {len(dims)} factors")
     for t, (n, i) in enumerate(zip(dims, parts), start=1):
         if not 1 <= i <= n:
             raise ValueError(f"index part {t} out of range: got {i}, factor dimension is {n}")
@@ -172,7 +173,7 @@ def _unflatten(dims: tuple[int, ...], s: int) -> tuple[int, ...]:
 
 def unflatten(dims: DimList, s: int) -> tuple[int, ...]:
     """Multi-index whose linear position is ``s``; inverse of :func:`flatten`."""
-    s = int(s)
+    s = operator.index(s)
     if not 1 <= s <= dims.size:
         raise ValueError(f"linear index out of range: got {s}, size is {dims.size}")
     return _unflatten(dims.dims, s)
@@ -191,7 +192,7 @@ def _check_length(v, n: int) -> None:
 
 
 def _validated(index: np.ndarray) -> np.ndarray:
-    """Freeze a 0-based column index after an O(N) range and scatter check."""
+    """Freeze a 0-based column index from outside after an O(N) range and scatter check."""
     n = index.size
     if index.ndim != 1:
         raise ValueError(f"col_of_row must be one-dimensional, got {index.ndim}-d data")
@@ -212,23 +213,28 @@ class IndexPerm:
     Applying it to a vector v therefore yields out[r] = v[col_of_row[r]].
     The permutation is held as one read-only 0-based ``np.intp`` array,
     :attr:`index`; ``col_of_row`` is the same permutation as a 1-based tuple
-    of ints, built on each access. Equality and hashing are by value.
+    of ints, built on each access. Equality and hashing are by value. The
+    constructor refuses float and complex entries and checks in O(N) that
+    the rest form a permutation.
     """
 
     __slots__ = ("_index",)
 
     def __init__(self, col_of_row: Sequence[int]) -> None:
+        cols = np.asarray(col_of_row)
+        if cols.dtype.kind in "fc" and cols.size:  # an empty sequence reads as float64
+            raise ValueError(f"col_of_row is not a permutation: {cols.dtype} entries")
         try:
-            cols = np.asarray(col_of_row, dtype=np.intp)
+            self._index = _validated(cols.astype(np.intp, copy=False) - 1)
         except OverflowError:
             raise ValueError("col_of_row is not a permutation: entry out of range") from None
-        self._index = _validated(cols - 1)
 
     @classmethod
     def _from_index(cls, index: np.ndarray) -> "IndexPerm":
-        # ``index`` is 0-based, owned by the new permutation and frozen here
+        # ``index`` is 0-based and a permutation by construction: not checked, owned and frozen here
+        index.flags.writeable = False
         perm = cls.__new__(cls)
-        perm._index = _validated(index)
+        perm._index = index
         return perm
 
     @property

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .index_algebra import (DimList, Sigma, _check_arity, _check_implicit, _check_length,
-                            _induced_index, _permute_factors, induced_index_perm)
+                            _permute_factors, induced_index_perm)
 from .matrix_core import (DEFAULT_DENSE_BOUND, _check_capacity, _conjugated_rows, _kron_operands,
                           domain_of)
 
@@ -280,9 +280,10 @@ def classify_tcm(m) -> list[TcmLabel]:
 
     U[n(x)p] sends row i*n + j (i < p, j < n) to column j*p + i, so for
     n >= 2 row 1 holds its 1 in column p, and for n = 1 or p = 1 the swap is
-    the identity. The column q of row 1 thus names the one candidate: the
-    identity when q = 1, U[(N/q)(x)q] when q > 1 divides N, and none
-    otherwise. Only that candidate's index is built and compared.
+    the identity. The column q of row 1 thus names the one candidate:
+    U[(N/q)(x)q] when q divides N, the identity U[N(x)1] when q = 1, and
+    none otherwise. Only that candidate's index is taken from
+    :func:`induced_index_perm` and compared.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -299,14 +300,14 @@ def classify_tcm(m) -> list[TcmLabel]:
     if order == 0:
         return []
     q = int(cols[1]) if order > 1 else 1
-    if q == 1:  # the identity is U[1(x)N] and U[N(x)1]
-        if not np.array_equal(cols, np.arange(order)):
-            return []
-        return [TcmLabel(n, p) for n, p in sorted({(1, order), (order, 1)})]
     if q == 0 or order % q:
         return []
     n = order // q
-    return [TcmLabel(n, q)] if np.array_equal(cols, _induced_index((n, q), (2, 1))) else []
+    if not np.array_equal(cols, induced_index_perm(DimList((n, q)), Sigma((2, 1))).index):
+        return []
+    # the identity, U[N(x)1], is also U[1(x)N]
+    pairs = {(n, q), (q, n)} if q == 1 else {(n, q)}
+    return [TcmLabel(a, b) for a, b in sorted(pairs)]
 
 
 @dataclass(frozen=True)

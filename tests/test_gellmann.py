@@ -19,6 +19,14 @@ BASIS_TOL = 1e-12
 RECON_TOL = 1e-10
 
 
+def test_basis_and_decomposition_compare_and_hash_by_identity():
+    basis, dec = generalized_gellmann(2), decompose_swap(2)
+    for value, twin in ((basis, generalized_gellmann(2)), (dec, decompose_swap(2))):
+        assert value == value and value != twin
+        assert hash(value) == hash(value)
+        assert len({value, twin}) == 2
+
+
 def test_pauli_case():
     basis = generalized_gellmann(2)
     assert len(basis.generators) == 3

@@ -9,6 +9,8 @@ from tensorperm import (
     DimList,
     IndexPerm,
     Sigma,
+    TensorPermSpec,
+    closure_check,
     flatten,
     induced_index_perm,
     unflatten,
@@ -94,6 +96,28 @@ def test_dimlist_validation():
         DimList(())
     with pytest.raises(ValueError, match="factor 2"):
         DimList((3, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DimList((2.5, 2)),
+    lambda: Sigma((1.0, 2.7)),
+    lambda: TensorPermSpec((2.5, 2), (2, 1.9)),
+    lambda: closure_check(2.5, 2),
+    lambda: flatten(DimList((2, 3)), (2.9, 1)),
+    lambda: unflatten(DimList((2, 3)), 2.5),
+], ids=["DimList", "Sigma", "TensorPermSpec", "closure_check", "flatten", "unflatten"])
+def test_non_integer_dimensions_and_indices_are_refused(call):
+    # each of these used to truncate its floats and go on
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+def test_numpy_integers_pass_as_dimensions_and_indices():
+    dims = DimList((np.int64(2), np.int32(3)))
+    assert dims.dims == (2, 3) and all(type(n) is int for n in dims.dims)
+    assert Sigma(np.array([2, 1])).mapping == (2, 1)
+    assert flatten(dims, np.array([2, 1])) == 4
+    assert unflatten(dims, np.uint8(5)) == (2, 2)
 
 
 def test_sigma_inverse_matches_exhaustive_search():

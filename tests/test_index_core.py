@@ -18,13 +18,17 @@ from tensorperm import (
     DimList,
     IndexPerm,
     Sigma,
+    TcmLabel,
     TensorPermSpec,
     apply,
+    build_stride_rule,
+    classify_tcm,
     induced_index_perm,
     tcm_spec,
 )
 from tensorperm import index_algebra, perm_matrix
 from tensorperm.cli import main
+from tensorperm.formats import parse_perm
 
 from oracles import induced_cols_per_row
 
@@ -75,7 +79,9 @@ def test_equality_and_hash_by_value():
     assert a == IndexPerm((3, 1, 2)).inverse()
 
 
-@pytest.mark.parametrize("cols", [(0, 1, 2), (1, 2, 4), (1, 1, 3), (3, 3, 3), (2**70, 1)])
+@pytest.mark.parametrize("cols", [(0, 1, 2), (1, 2, 4), (1, 1, 3), (3, 3, 3), (2**70, 1),
+                                  # floats would truncate to a permutation
+                                  [1.5, 2], np.array([2.9, 1.2]), (1 + 0j, 2)])
 def test_rejects_entries_outside_or_repeated(cols):
     with pytest.raises(ValueError, match="not a permutation") as info:
         IndexPerm(cols)
@@ -99,6 +105,34 @@ def test_inverse_and_compose_agree_with_one_based_loops():
         assert p.compose(q).col_of_row == tuple(q.col_of_row[c - 1] for c in p.col_of_row)
         assert not p.inverse().index.flags.writeable
         assert not p.compose(q).index.flags.writeable
+
+
+class _Checked(Exception):
+    """Raised in place of the O(N) permutation check."""
+
+
+def test_only_columns_from_outside_are_checked(monkeypatch):
+    def refuse(index):
+        raise _Checked
+
+    monkeypatch.setattr(index_algebra, "_validated", refuse)
+    index_algebra._cached_perm.cache_clear()
+    # built by the library: a transposition, cached or not, its inverse and
+    # a composition, and classify_tcm's candidate swap
+    cached = induced_index_perm(DimList((3, 2)), Sigma((2, 1)))
+    assert cached.col_of_row == (1, 3, 5, 2, 4, 6)
+    uncached = induced_index_perm(DimList((1025, 1024)), Sigma((2, 1)))
+    assert uncached.index[:3].tolist() == [0, 1024, 2048]
+    assert cached.inverse().compose(cached).col_of_row == (1, 2, 3, 4, 5, 6)
+    assert not uncached.inverse().index.flags.writeable
+    assert classify_tcm(build_stride_rule(4, 3)) == [TcmLabel(4, 3)]
+    # from outside: columns, perm text and a pickle
+    with pytest.raises(_Checked):
+        IndexPerm((2, 1))
+    with pytest.raises(_Checked):
+        parse_perm("2\n2 1\n")
+    with pytest.raises(_Checked):
+        pickle.loads(pickle.dumps(cached))
 
 
 def test_list_apply_returns_the_original_objects():
