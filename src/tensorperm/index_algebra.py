@@ -214,8 +214,8 @@ class IndexPerm:
     The permutation is held as one read-only 0-based ``np.intp`` array,
     :attr:`index`; ``col_of_row`` is the same permutation as a 1-based tuple
     of ints, built on each access. Equality and hashing are by value. The
-    constructor refuses float and complex entries and checks in O(N) that
-    the rest form a permutation.
+    constructor refuses float and complex entries, in an object array too,
+    and checks in O(N) that the rest form a permutation.
     """
 
     __slots__ = ("_index",)
@@ -224,6 +224,12 @@ class IndexPerm:
         cols = np.asarray(col_of_row)
         if cols.dtype.kind in "fc" and cols.size:  # an empty sequence reads as float64
             raise ValueError(f"col_of_row is not a permutation: {cols.dtype} entries")
+        if cols.dtype == object:  # the cast below takes int() of each entry, truncating floats
+            try:
+                entries = [operator.index(c) for c in cols.flat]
+            except TypeError as e:
+                raise ValueError(f"col_of_row is not a permutation: {e}") from None
+            cols = np.array(entries, dtype=object).reshape(cols.shape)
         try:
             self._index = _validated(cols.astype(np.intp, copy=False) - 1)
         except OverflowError:

@@ -12,7 +12,7 @@ product could leave int64.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 import numpy as np
 
@@ -154,56 +154,20 @@ def _kron_operands(mats: list) -> list[np.ndarray]:
     return operands
 
 
-def _kron_rows(mats: list[np.ndarray], rows: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+def _kron_block(mats: list[np.ndarray], rows: list[np.ndarray]) -> np.ndarray:
     """Rows of mats[0] (x) mats[1] (x) ..., block row b taking row rows[t][b]
-    of each factor t (a 1-entry index broadcasts over the block).
+    of factor t (a 1-entry index broadcasts over the block).
 
-    The block is the left fold that ``reduce(kron, mats)`` computes, with the
-    running product on the left of every multiplication, so each entry is the
-    same product. Each step puts the longer operand on numpy's inner loop, so
-    the block's columns come out with their factor axes in some order:
-    returned with the block is the factor (its position in ``mats``) of each
-    axis, outermost first. Size-1 factors add no axis.
+    Each factor comes with its columns already reshaped onto an axis of its
+    own, so the block's columns come out in the layout those axes set, not
+    in the product's column order. The block is the left fold that
+    ``reduce(kron, mats)`` computes, with the running product on the left of
+    every multiplication, so each entry is the same product.
     """
     block = mats[0][rows[0]]
-    axes = [0] if mats[0].shape[1] > 1 else []
-    for t in range(1, len(mats)):
-        part = mats[t][rows[t]]
-        n = part.shape[1]
-        if block.shape[1] >= n:
-            product = block[:, None, :] * part[:, :, None]
-            if n > 1:
-                axes.insert(0, t)
-        else:
-            product = block[:, :, None] * part[:, None, :]
-            axes.append(t)
-        block = product.reshape(product.shape[0], -1)
-    return block, axes
-
-
-def _conjugated_rows(mats: list[np.ndarray], mapping: tuple[int, ...],
-                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``rows`` of U . K . U^T and of K', as two arrays of one shape: the
-    row axis, then one axis per factor of size > 1. K is mats[0] (x) mats[1]
-    (x) ..., K' takes the factors in the order mats[s - 1] for s in
-    ``mapping``, and U is the permutation matrix that reorders them so.
-
-    Each row number is split into digits over K''s factor sizes; digit t is
-    the row of factor mapping[t] on both sides (Van Loan 2000).
-    """
-    permuted = [mats[s - 1] for s in mapping]
-    out_dims = [m.shape[0] for m in permuted]
-    kept = [t for t, d in enumerate(out_dims) if d > 1]
-    digits = [np.zeros(1, dtype=np.intp)] * len(mapping)  # row 0 of a size-1 factor
-    if kept:
-        for t, part in zip(kept, np.unravel_index(rows, [out_dims[t] for t in kept])):
-            digits[t] = part
-    k_prime, prime_axes = _kron_rows(permuted, digits)
-    k, k_axes = _kron_rows(mats, [digits[mapping.index(f + 1)] for f in range(len(mats))])
-    # K''s axis j belongs to factor mapping[prime_axes[j]]; view K's in that order
-    k = k.reshape([len(k)] + [mats[f].shape[0] for f in k_axes]).transpose(
-        [0] + [1 + k_axes.index(mapping[t] - 1) for t in prime_axes])
-    return k, k_prime.reshape(k.shape)
+    for a, r in zip(mats[1:], rows[1:]):
+        block = block * a[r]
+    return block
 
 
 def matmul(a, b) -> np.ndarray:
@@ -219,7 +183,8 @@ def matmul(a, b) -> np.ndarray:
 def elementary(shape, i: int, j: int) -> np.ndarray:
     """Matrix with a single 1 at (i, j), 1-based. ``shape`` is a side length
     for a square matrix or a (rows, cols) pair."""
-    rows, cols = (shape, shape) if isinstance(shape, int) else (int(shape[0]), int(shape[1]))
+    rows, cols = (shape, shape) if isinstance(shape, int) else (
+        operator.index(shape[0]), operator.index(shape[1]))
     if rows < 1 or cols < 1:
         raise ValueError(f"invalid elementary matrix shape {rows}x{cols}")
     if not 1 <= i <= rows:
@@ -251,6 +216,8 @@ def rank_over_rationals(rows) -> int:
     deliberately independent of floating-point linear algebra so it can serve
     as an exact oracle.
     """
+    from fractions import Fraction  # here, so that importing the package skips it and decimal
+
     mat = [[Fraction(x) for x in row] for row in rows]
     if not mat:
         return 0

@@ -31,7 +31,7 @@ import numpy as np
 
 from .index_algebra import (DimList, Sigma, _check_arity, _check_implicit, _check_length,
                             _permute_factors, induced_index_perm)
-from .matrix_core import (DEFAULT_DENSE_BOUND, _check_capacity, _conjugated_rows, _kron_operands,
+from .matrix_core import (DEFAULT_DENSE_BOUND, _check_capacity, _kron_block, _kron_operands,
                           domain_of)
 
 __all__ = [
@@ -201,15 +201,19 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     permuted dimensions, is the Kronecker product of row i_t of each factor
     A_sigma(t); row r of U . K . U^T is the product of the same factor rows
     taken in the order of K = A1 (x) ... (x) Ak, with its columns reordered
-    by sigma (Van Loan 2000). Both sides are built and compared one block of
-    about 2**15 entries of rows at a time, so no N x N array is formed and
-    the extra memory does not grow with N**2. Errors are those of the two
-    whole Kronecker products, raised before any product is formed.
+    by sigma (Van Loan 2000). So both sides are built in one column layout,
+    fixed once per call: one axis per factor of size > 1, ordered by factor
+    size with the largest last, so that numpy's inner loop runs along the
+    widest factor. K' folds the factor rows in sigma's order and U . K . U^T
+    in K's, and the two blocks are compared in memory order. Each block holds
+    about 2**15 entries of rows, so no N x N array is formed and the extra
+    memory does not grow with N**2. Errors are those of the two whole
+    Kronecker products, raised before any product is formed.
     """
     _check_capacity(spec.size, dense_bound)
     mats = [np.asarray(a) for a in matrices]
     dims = spec.dims.dims
-    mapping = spec.sigma.mapping
+    order = [s - 1 for s in spec.sigma.mapping]
     if len(mats) != len(dims):
         raise ValueError(f"expected {len(dims)} matrices, got {len(mats)}")
     for t, (a, d) in enumerate(zip(mats, dims), start=1):
@@ -218,13 +222,24 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
         domain_of(a)  # a single factor never reaches kron's domain check
     if len(mats) > 1:  # as in reduce(kron), a single factor is compared as given
         mats = _kron_operands(mats)
-        _kron_operands([mats[s - 1] for s in mapping])  # the int64 reach of K''s chain
+        _kron_operands([mats[f] for f in order])  # the int64 reach of K''s chain
+    layout = sorted((f for f, d in enumerate(dims) if d > 1), key=dims.__getitem__)
+    mats = [a.reshape([d] + [d if t == f else 1 for t in layout])
+            for f, (a, d) in enumerate(zip(mats, dims))]
+    permuted = [mats[f] for f in order]
+    rows = [np.zeros(1, dtype=np.intp)] * len(dims)  # row 0 of a size-1 factor
     n = spec.size
     step = max(1, _BLOCK_ENTRIES // n)
     exact = not np.iscomplexobj(mats[0])
     worst, scale = [], []
     for start in range(0, n, step):
-        k, k_prime = _conjugated_rows(mats, mapping, np.arange(start, min(start + step, n)))
+        # row r's digit t over the permuted dimensions is the row of factor sigma(t)
+        rest = np.arange(start, min(start + step, n))
+        for f in reversed(order):
+            if dims[f] > 1:
+                rest, rows[f] = np.divmod(rest, dims[f])
+        k_prime = _kron_block(permuted, [rows[f] for f in order])
+        k = _kron_block(mats, rows)
         if exact:
             if not np.array_equal(k, k_prime):
                 return False

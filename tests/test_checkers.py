@@ -25,6 +25,7 @@ from tensorperm import (
     is_permutation_matrix,
     kron,
     matrix_core,
+    perm_matrix,
     tcm_spec,
 )
 
@@ -205,10 +206,13 @@ def _normal_complex(rng, d):
 
 
 # A swap and its transpose; two cyclic sigmas, which are not their own
-# inverse; and 1,1, whose factors all have size 1, so K has no factor axes.
+# inverse; 1,1, whose factors all have size 1, so K has no factor axes; and
+# 4,3,2 under 3,1,2, whose size-ordered column layout (2, 3, 4) differs from
+# both K's column order (4, 3, 2) and K''s (2, 4, 3).
 _CONJUGATION_SPECS = [tcm_spec(3, 2), TensorPermSpec((2, 3, 2), (2, 3, 1)), tcm_spec(2, 3),
-                 TensorPermSpec((2, 3, 4), (2, 3, 1)), TensorPermSpec((1, 1), (2, 1))]
-_CONJUGATION_IDS = ["3x2", "2,3,2", "2x3", "2,3,4", "1,1"]
+                      TensorPermSpec((2, 3, 4), (2, 3, 1)), TensorPermSpec((1, 1), (2, 1)),
+                      TensorPermSpec((4, 3, 2), (3, 1, 2))]
+_CONJUGATION_IDS = ["3x2", "2,3,2", "2x3", "2,3,4", "1,1", "4,3,2"]
 
 
 @pytest.mark.parametrize("spec", _CONJUGATION_SPECS, ids=_CONJUGATION_IDS)
@@ -226,24 +230,25 @@ def _scale_largest(a, factor):
     return a
 
 
-_KRON_ROWS = matrix_core._kron_rows
+_KRON_BLOCK = matrix_core._kron_block
 
 
 def _perturbing_k_prime(monkeypatch, perturb):
-    """Route matrix_core._kron_rows through ``perturb(mats, rows, seen)``,
-    which returns the block of K' = A_sigma(1) (x) ... to compare; ``seen``
-    counts K''s rows in earlier blocks. Each block builds K' first, then K."""
+    """Route the conjugation check's _kron_block through
+    ``perturb(mats, rows, seen)``, which returns the block of
+    K' = A_sigma(1) (x) ... to compare; ``seen`` counts K''s rows in earlier
+    blocks. Each block builds K' first, then K."""
     calls, seen = [], [0]
 
     def wrapped(mats, rows):
         calls.append(1)
         if len(calls) % 2 == 0:  # K
-            return _KRON_ROWS(mats, rows)
-        block, axes = perturb(mats, rows, seen[0])
+            return _KRON_BLOCK(mats, rows)
+        block = perturb(mats, rows, seen[0])
         seen[0] += len(block)
-        return block, axes
+        return block
 
-    monkeypatch.setattr(matrix_core, "_kron_rows", wrapped)
+    monkeypatch.setattr(perm_matrix, "_kron_block", wrapped)
 
 
 @pytest.mark.parametrize("spec", _CONJUGATION_SPECS, ids=_CONJUGATION_IDS)
@@ -255,7 +260,7 @@ def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
     rng = np.random.default_rng(11)
     mats = [_normal_complex(rng, d) for d in spec.dims]
     assert commutation_conjugation_check(spec, mats)
-    _perturbing_k_prime(monkeypatch, lambda ms, rows, seen: _KRON_ROWS(
+    _perturbing_k_prime(monkeypatch, lambda ms, rows, seen: _KRON_BLOCK(
         [_scale_largest(ms[0], 1 + 1e-9), *ms[1:]], rows))
     assert not commutation_conjugation_check(spec, mats)
 
@@ -264,8 +269,9 @@ def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
 def test_conjugation_rejects_a_perturbed_integer_product(spec, monkeypatch):
     # The integer twin of the complex case: one entry of K' comes out of its
     # block raised by 1, which the exact compare of U . K . U^T with K' must
-    # catch wherever it lands. Entry (r, c) is row r's c-th block column;
-    # the block's columns are K''s in some order, so every entry is raised once.
+    # catch wherever it lands. Entry (r, c) is row r's c-th block column in
+    # memory order; the block's columns are K''s in some order, so every
+    # entry is raised once.
     rng = np.random.default_rng(11)
     mats = [rng.integers(-9, 10, (d, d)) for d in spec.dims]
     assert commutation_conjugation_check(spec, mats)
@@ -273,10 +279,10 @@ def test_conjugation_rejects_a_perturbed_integer_product(spec, monkeypatch):
         row, col = divmod(entry, spec.size)
 
         def raise_entry(ms, rows, seen):
-            block, axes = _KRON_ROWS(ms, rows)
+            block = _KRON_BLOCK(ms, rows)
             if seen <= row < seen + len(block):
-                block[row - seen, col] += 1
-            return block, axes
+                block.reshape(len(block), -1)[row - seen, col] += 1
+            return block
 
         _perturbing_k_prime(monkeypatch, raise_entry)
         assert not commutation_conjugation_check(spec, mats), entry
@@ -301,7 +307,7 @@ def test_conjugation_takes_a_dense_bound(monkeypatch):
     mats = [np.arange(9).reshape(3, 3), np.arange(4).reshape(2, 2)]
     assert commutation_conjugation_check(tcm_spec(3, 2), mats, dense_bound=6)
     calls = []
-    monkeypatch.setattr(matrix_core, "_kron_rows", lambda *args: calls.append(1))
+    monkeypatch.setattr(perm_matrix, "_kron_block", lambda *args: calls.append(1))
     with pytest.raises(CapacityError, match="dense order 6 exceeds dense bound 5"):
         commutation_conjugation_check(tcm_spec(3, 2), mats, dense_bound=5)
     assert not calls  # refused before any block of a Kronecker product
@@ -362,10 +368,10 @@ def test_conjugation_matches_the_oracle_on_a_partial_last_block(spec, monkeypatc
     assert _both(spec, [_normal_complex(rng, d) for d in spec.dims]) == (("result", True),) * 2
 
     def raise_last_entry(ms, rows, seen):
-        block, axes = _KRON_ROWS(ms, rows)
+        block = _KRON_BLOCK(ms, rows)
         if seen + len(block) == spec.size:
-            block[-1, -1] += 1
-        return block, axes
+            block.reshape(len(block), -1)[-1, -1] += 1
+        return block
 
     _perturbing_k_prime(monkeypatch, raise_last_entry)
     assert not commutation_conjugation_check(spec, ints)
@@ -384,7 +390,7 @@ def test_conjugation_matches_the_oracle_at_the_complex_tolerance(spec, monkeypat
     outcomes = []
     for m in np.linspace(0.25, 2, 15):
         factor = 1 + m * 4 * k * np.finfo(np.float64).eps
-        _perturbing_k_prime(monkeypatch, lambda ms, rows, seen: _KRON_ROWS(
+        _perturbing_k_prime(monkeypatch, lambda ms, rows, seen: _KRON_BLOCK(
             [_scale_largest(ms[0], factor), *ms[1:]], rows))
         calls = []
 

@@ -73,6 +73,15 @@ def test_gen_perm_memory_per_entry_is_bounded():
     assert (peak - base) * 1024 / n < 40
 
 
+def test_importing_the_cli_loads_no_fractions():
+    # only rank_over_rationals uses fractions, and it imports the module itself
+    env = dict(os.environ, PYTHONPATH=str(Path(tensorperm.__file__).parents[1]))
+    code = "import sys, tensorperm.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_gen_mm_parses_back(capsys):
     code, out, _ = run_cli(["gen", "--dims", "3,5", "--sigma", "2,1", "--format", "mm"], capsys)
     assert code == 0

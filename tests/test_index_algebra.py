@@ -13,6 +13,7 @@ from tensorperm import (
     closure_check,
     flatten,
     induced_index_perm,
+    matrix_core,
     unflatten,
 )
 
@@ -105,7 +106,9 @@ def test_dimlist_validation():
     lambda: closure_check(2.5, 2),
     lambda: flatten(DimList((2, 3)), (2.9, 1)),
     lambda: unflatten(DimList((2, 3)), 2.5),
-], ids=["DimList", "Sigma", "TensorPermSpec", "closure_check", "flatten", "unflatten"])
+    lambda: matrix_core.elementary((2.5, 2), 1, 1),
+], ids=["DimList", "Sigma", "TensorPermSpec", "closure_check", "flatten", "unflatten",
+        "elementary"])
 def test_non_integer_dimensions_and_indices_are_refused(call):
     # each of these used to truncate its floats and go on
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):

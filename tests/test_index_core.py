@@ -81,7 +81,8 @@ def test_equality_and_hash_by_value():
 
 @pytest.mark.parametrize("cols", [(0, 1, 2), (1, 2, 4), (1, 1, 3), (3, 3, 3), (2**70, 1),
                                   # floats would truncate to a permutation
-                                  [1.5, 2], np.array([2.9, 1.2]), (1 + 0j, 2)])
+                                  [1.5, 2], np.array([2.9, 1.2]), (1 + 0j, 2),
+                                  np.array([2.9, 1.2], dtype=object)])
 def test_rejects_entries_outside_or_repeated(cols):
     with pytest.raises(ValueError, match="not a permutation") as info:
         IndexPerm(cols)
