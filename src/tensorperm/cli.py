@@ -171,11 +171,15 @@ def _cmd_apply(args) -> int:
     spec = _spec_from_args(args)
     _check_implicit(spec.size)  # before reading a vector that could never fit
     if args.input == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(args.input, "r", encoding="ascii") as fh:
-            text = fh.read()
-    values = [formats.parse_scalar(tok) for tok in text.split()]
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+    # one rule for a file and stdin: the decode refuses a non-ASCII byte, and
+    # bytes.split, unlike str.split, splits on ASCII whitespace only, so
+    # \x1c-\x1f stay inside a token
+    data.decode("ascii")
+    values = [formats.parse_scalar(tok.decode()) for tok in data.split()]
     print("\n".join(map(formats.format_scalar, apply_perm(spec, values))))
     return 0
 

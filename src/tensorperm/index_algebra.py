@@ -143,32 +143,17 @@ def _check_arity(dims, sigma) -> None:
         raise ValueError(f"sigma has {len(sigma)} positions but there are {len(dims)} factors")
 
 
-def _flatten(dims: tuple[int, ...], parts: tuple[int, ...]) -> int:
-    # no validation: internal hot path
-    s = 0
-    for n, i in zip(dims, parts):
-        s = s * n + (i - 1)
-    return s + 1
-
-
 def flatten(dims: DimList, parts: Sequence[int]) -> int:
     """Linear position (1-based) of a multi-index, per the lexicographic rule."""
     parts = tuple(map(operator.index, parts))
     if len(parts) != len(dims):
         raise ValueError(f"multi-index has {len(parts)} parts but there are {len(dims)} factors")
+    s = 0
     for t, (n, i) in enumerate(zip(dims, parts), start=1):
         if not 1 <= i <= n:
             raise ValueError(f"index part {t} out of range: got {i}, factor dimension is {n}")
-    return _flatten(dims.dims, parts)
-
-
-def _unflatten(dims: tuple[int, ...], s: int) -> tuple[int, ...]:
-    rem = s - 1
-    parts = [0] * len(dims)
-    for t in range(len(dims) - 1, -1, -1):
-        rem, r = divmod(rem, dims[t])
-        parts[t] = r + 1
-    return tuple(parts)
+        s = s * n + (i - 1)
+    return s + 1
 
 
 def unflatten(dims: DimList, s: int) -> tuple[int, ...]:
@@ -176,7 +161,21 @@ def unflatten(dims: DimList, s: int) -> tuple[int, ...]:
     s = operator.index(s)
     if not 1 <= s <= dims.size:
         raise ValueError(f"linear index out of range: got {s}, size is {dims.size}")
-    return _unflatten(dims.dims, s)
+    rem, parts = s - 1, []
+    for n in reversed(dims.dims):
+        rem, r = divmod(rem, n)
+        parts.append(r + 1)
+    return tuple(reversed(parts))
+
+
+def _digits(values: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+    """0-based mixed-radix digits of ``values`` over ``dims``, last digit
+    fastest; a size-1 factor's digit is a 1-entry zero, which broadcasts."""
+    digits = [np.zeros(1, dtype=np.intp)] * len(dims)
+    for t in range(len(dims) - 1, -1, -1):
+        if dims[t] > 1:
+            values, digits[t] = np.divmod(values, dims[t])
+    return digits
 
 
 def _check_implicit(n: int) -> None:

@@ -183,8 +183,8 @@ def matmul(a, b) -> np.ndarray:
 def elementary(shape, i: int, j: int) -> np.ndarray:
     """Matrix with a single 1 at (i, j), 1-based. ``shape`` is a side length
     for a square matrix or a (rows, cols) pair."""
-    rows, cols = (shape, shape) if isinstance(shape, int) else (
-        operator.index(shape[0]), operator.index(shape[1]))
+    rows, cols = (shape, shape) if np.ndim(shape) == 0 else (shape[0], shape[1])
+    rows, cols, i, j = map(operator.index, (rows, cols, i, j))
     if rows < 1 or cols < 1:
         raise ValueError(f"invalid elementary matrix shape {rows}x{cols}")
     if not 1 <= i <= rows:
@@ -202,6 +202,7 @@ def elementary_kron_index(n: int, p: int, i: int, j: int, k: int, l: int) -> tup
 
         row = p*(i - 1) + k,   col = p*(j - 1) + l
     """
+    n, p, i, j, k, l = map(operator.index, (n, p, i, j, k, l))
     if not 1 <= i <= n or not 1 <= j <= n:
         raise ValueError(f"elementary indices ({i}, {j}) out of range for size {n}")
     if not 1 <= k <= p or not 1 <= l <= p:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .index_algebra import (DimList, Sigma, _check_arity, _check_implicit, _check_length,
+from .index_algebra import (DimList, Sigma, _check_arity, _check_implicit, _check_length, _digits,
                             _permute_factors, induced_index_perm)
 from .matrix_core import (DEFAULT_DENSE_BOUND, _check_capacity, _kron_block, _kron_operands,
                           domain_of)
@@ -114,10 +114,7 @@ def build_elementary_sum(spec: TensorPermSpec,
     _check_capacity(n, dense_bound)
     dims = spec.dims.dims
     # 0-based parts of all N column multi-indices at once, last part fastest
-    parts = [None] * len(dims)
-    rest = np.arange(n)
-    for t in range(len(dims) - 1, -1, -1):
-        rest, parts[t] = np.divmod(rest, dims[t])
+    parts = _digits(np.arange(n), dims)
     # flatten each multi-index by the lexicographic (Horner) rule: the column
     # over the original dimensions, the row over the permuted ones
     col = row = 0
@@ -197,18 +194,21 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     multiply each entry's factors in different orders.
 
     Since U is a permutation matrix, the identity is U . K . U^T = K'. Row r
-    of K' = A_sigma(1) (x) ... (x) A_sigma(k), read as a multi-index over the
-    permuted dimensions, is the Kronecker product of row i_t of each factor
-    A_sigma(t); row r of U . K . U^T is the product of the same factor rows
-    taken in the order of K = A1 (x) ... (x) Ak, with its columns reordered
-    by sigma (Van Loan 2000). So both sides are built in one column layout,
-    fixed once per call: one axis per factor of size > 1, ordered by factor
-    size with the largest last, so that numpy's inner loop runs along the
-    widest factor. K' folds the factor rows in sigma's order and U . K . U^T
-    in K's, and the two blocks are compared in memory order. Each block holds
-    about 2**15 entries of rows, so no N x N array is formed and the extra
-    memory does not grow with N**2. Errors are those of the two whole
-    Kronecker products, raised before any product is formed.
+    of K' = A_sigma(1) (x) ... (x) A_sigma(k), read as a multi-index i over
+    the permuted dimensions, is the Kronecker product of row i_t of each
+    factor A_sigma(t). Row r of U . K is row col[r] of K = A1 (x) ... (x) Ak,
+    col being U's index from :func:`induced_index_perm`: the product of row
+    j_t of each A_t, with j the digits of col[r] over the original
+    dimensions. U^T then reorders K's columns by sigma (Van Loan 2000), so
+    the columns of both sides sit in the sigma layout, fixed once per call:
+    one axis per factor of size > 1, holding that factor's columns, ordered
+    by factor size with the largest last, so that numpy's inner loop runs
+    along the widest factor. K' folds the factor rows in sigma's order and
+    U . K . U^T in K's, and the two blocks are compared in memory order. A
+    wrong U shows in its rows. Each block holds about 2**15 entries of rows,
+    so no N x N array is formed and the extra memory does not grow with
+    N**2. Errors are those of the two whole Kronecker products, raised
+    before any product is formed.
     """
     _check_capacity(spec.size, dense_bound)
     mats = [np.asarray(a) for a in matrices]
@@ -227,19 +227,18 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     mats = [a.reshape([d] + [d if t == f else 1 for t in layout])
             for f, (a, d) in enumerate(zip(mats, dims))]
     permuted = [mats[f] for f in order]
-    rows = [np.zeros(1, dtype=np.intp)] * len(dims)  # row 0 of a size-1 factor
+    permuted_dims = [dims[f] for f in order]
+    col = induced_index_perm(spec.dims, spec.sigma).index
     n = spec.size
     step = max(1, _BLOCK_ENTRIES // n)
     exact = not np.iscomplexobj(mats[0])
     worst, scale = [], []
     for start in range(0, n, step):
-        # row r's digit t over the permuted dimensions is the row of factor sigma(t)
-        rest = np.arange(start, min(start + step, n))
-        for f in reversed(order):
-            if dims[f] > 1:
-                rest, rows[f] = np.divmod(rest, dims[f])
-        k_prime = _kron_block(permuted, [rows[f] for f in order])
-        k = _kron_block(mats, rows)
+        stop = min(start + step, n)
+        # K''s row r takes row i_t of factor sigma(t), i its digits over the
+        # permuted dimensions; U . K's row r is K's row col[r]
+        k_prime = _kron_block(permuted, _digits(np.arange(start, stop), permuted_dims))
+        k = _kron_block(mats, _digits(col[start:stop], dims))
         if exact:
             if not np.array_equal(k, k_prime):
                 return False

@@ -16,13 +16,15 @@ from tensorperm import (
     Sigma,
     TcmLabel,
     build_stride_rule,
+    flatten,
     generalized_gellmann,
     induced_index_perm,
     kron,
     matrices_close,
+    unflatten,
 )
 from tensorperm.formats import _fmt_float
-from tensorperm.index_algebra import _factor_axes, _flatten, _unflatten
+from tensorperm.index_algebra import _factor_axes
 from tensorperm.matrix_core import _check_capacity, domain_of
 
 
@@ -116,12 +118,13 @@ def loop_elementary_sum(dims, mapping):
     """build_elementary_sum one column multi-index at a time: add a 1 at the
     column the multi-index flattens to over ``dims`` and the row its
     sigma-reordered parts flatten to over the permuted dimensions."""
-    out_dims = tuple(dims[s - 1] for s in mapping)
-    n = math.prod(dims)
+    dims = DimList(tuple(dims))
+    out_dims = dims.permuted(Sigma(tuple(mapping)))
+    n = dims.size
     dense = np.zeros((n, n), dtype=np.int64)
     for j in itertools.product(*(range(1, d + 1) for d in dims)):
-        col = _flatten(tuple(dims), j)
-        row = _flatten(out_dims, tuple(j[s - 1] for s in mapping))
+        col = flatten(dims, j)
+        row = flatten(out_dims, tuple(j[s - 1] for s in mapping))
         dense[row - 1, col - 1] += 1
     return dense
 
@@ -131,14 +134,15 @@ def induced_cols_per_row(dims, mapping):
     over the permuted dimensions, send part t to factor sigma(t), flatten over
     the original dimensions. Uses only the library's per-index helpers, not
     its array construction of the same permutation."""
-    out_dims = tuple(dims[s - 1] for s in mapping)
+    dims = DimList(tuple(dims))
+    out_dims = dims.permuted(Sigma(tuple(mapping)))
     cols = []
-    for r in range(1, math.prod(dims) + 1):
-        i = _unflatten(out_dims, r)
+    for r in range(1, dims.size + 1):
+        i = unflatten(out_dims, r)
         j = [0] * len(dims)
         for t, s in enumerate(mapping):
             j[s - 1] = i[t]
-        cols.append(_flatten(tuple(dims), tuple(j)))
+        cols.append(flatten(dims, j))
     return tuple(cols)
 
 

@@ -21,6 +21,7 @@ from tensorperm import (
     closure_check,
     commutation_conjugation_check,
     decompose_swap,
+    index_algebra,
     induced_index_perm,
     is_permutation_matrix,
     kron,
@@ -253,10 +254,10 @@ def _perturbing_k_prime(monkeypatch, perturb):
 
 @pytest.mark.parametrize("spec", _CONJUGATION_SPECS, ids=_CONJUGATION_IDS)
 def test_conjugation_rejects_a_perturbed_complex_factor(spec, monkeypatch):
-    # Both sides are built from the same factors, so the identity always
-    # holds; to see that the tolerance still catches a real error, the
-    # blocks of K' = A_sigma(1) (x) ... are built with that first factor's
-    # largest entry scaled by 1 + 1e-9.
+    # U's index is right, so the identity holds for any factors; to see that
+    # the tolerance still catches a real error, the blocks of
+    # K' = A_sigma(1) (x) ... are built with that first factor's largest
+    # entry scaled by 1 + 1e-9.
     rng = np.random.default_rng(11)
     mats = [_normal_complex(rng, d) for d in spec.dims]
     assert commutation_conjugation_check(spec, mats)
@@ -341,17 +342,33 @@ def test_conjugation_matches_the_whole_matrix_oracle_on_every_spec_to_36():
         assert got == want == ("result", True), (dims, mapping)
 
 
-def test_conjugation_matches_naive_dense_products():
-    # U . K . U^T with U from build_delta and K, K' by explicit block assembly
-    rng = np.random.default_rng(12)
-    for dims, mapping in all_specs(12):
-        spec = TensorPermSpec(dims, mapping)
-        mats = [rng.integers(-9, 10, (d, d)) for d in dims]
-        u = build_delta(spec)
-        k = np.array(reduce(naive_kron, [m.tolist() for m in mats]), dtype=np.int64)
-        k_prime = np.array(reduce(naive_kron, [mats[s - 1].tolist() for s in mapping]),
-                           dtype=np.int64)
-        assert np.array_equal(u @ k @ u.T, k_prime) is commutation_conjugation_check(spec, mats)
+def test_conjugation_matches_naive_dense_products(monkeypatch):
+    # U . K . U^T with U from build_delta and K, K' by explicit block assembly;
+    # then again with every induced index rolled by one place, a permutation
+    # but the wrong U for any order past 1, which both sides must refuse.
+    # The oracle of _both transposes by factor axes and never reads U.
+    right = index_algebra._induced_index
+    try:
+        for wrong in (False, True):
+            if wrong:
+                monkeypatch.setattr(index_algebra, "_induced_index",
+                                    lambda dims, mapping: np.roll(right(dims, mapping), 1))
+            index_algebra._cached_perm.cache_clear()  # monkeypatch leaves the lru cache alone
+            rng = np.random.default_rng(12)
+            for dims, mapping in all_specs(12):
+                spec = TensorPermSpec(dims, mapping)
+                mats = [rng.integers(-9, 10, (d, d)) for d in dims]
+                u = build_delta(spec)
+                k = np.array(reduce(naive_kron, [m.tolist() for m in mats]), dtype=np.int64)
+                k_prime = np.array(reduce(naive_kron, [mats[s - 1].tolist() for s in mapping]),
+                                   dtype=np.int64)
+                holds = np.array_equal(u @ k @ u.T, k_prime)
+                assert holds is commutation_conjugation_check(spec, mats), (dims, mapping)
+                # a zero K, from a size-1 factor drawn as 0, is kept by any U
+                assert holds is (not wrong or spec.size == 1 or not k.any()), (dims, mapping)
+    finally:
+        monkeypatch.undo()
+        index_algebra._cached_perm.cache_clear()
 
 
 # Orders 1000 and 1021 leave a last block of fewer rows than the others.

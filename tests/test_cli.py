@@ -217,6 +217,21 @@ def test_verify_passes_its_dense_bound_to_the_conjugation_check(monkeypatch, cap
     assert code == 0 and bounds and set(bounds) == {7}
 
 
+def test_verify_fails_the_conjugation_under_a_wrong_index(monkeypatch, capsys):
+    # every induced index rolled by one place: a permutation, but not U
+    right = index_algebra._induced_index
+    monkeypatch.setattr(index_algebra, "_induced_index",
+                        lambda dims, mapping: np.roll(right(dims, mapping), 1))
+    index_algebra._cached_perm.cache_clear()  # monkeypatch leaves the lru cache alone
+    try:
+        code, out, _ = run_cli(["verify", "--dims", "3,4,2", "--sigma", "2,3,1"], capsys)
+    finally:
+        monkeypatch.undo()
+        index_algebra._cached_perm.cache_clear()
+    assert code == 1
+    assert "FAIL matrix-conjugation" in out.splitlines()
+
+
 def test_classify_order_12(capsys):
     code, out, _ = run_cli(["classify", "--order", "12"], capsys)
     assert code == 0
@@ -447,14 +462,23 @@ def test_number_text_the_writers_never_emit_exits_2(args, capsys):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
-def test_vector_text_the_writers_never_emit_exits_2(tmp_path, capsys):
+def test_vector_text_the_writers_never_emit_exits_2(tmp_path, monkeypatch, capsys):
+    # read as ASCII and split on ASCII whitespace alone, from a file and from
+    # stdin alike: str.split would split at U+00A0 and at \x1c-\x1f
     vec = tmp_path / "v.txt"
-    for text in ("+3 1_0", "1 2 3 4 5 +6", "1 2 3 4 5 NaN", "1 2 3 4 5 Infinity"):
-        vec.write_text(text)
-        code, out, err = run_cli(["apply", "--dims", "3,2", "--input", str(vec)], capsys)
-        assert code == 2, text
-        assert out == ""
-        assert err.startswith("error: cannot parse vector entry") and err.count("\n") == 1
+    for text, error in [("+3 1_0", "cannot parse vector entry"),
+                        ("1 2 3 4 5 +6", "cannot parse vector entry"),
+                        ("1 2 3 4 5 NaN", "cannot parse vector entry"),
+                        ("1 2 3 4 5 Infinity", "cannot parse vector entry"),
+                        ("1\x1f2\n3\n4\n5\n6", "cannot parse vector entry '1\\x1f2'"),
+                        ("1\u00a02\n3\n4\n5\n6", "'ascii' codec can't decode byte 0xc2")]:
+        vec.write_bytes(text.encode())
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        for source in (str(vec), "-"):
+            code, out, err = run_cli(["apply", "--dims", "3,2", "--input", source], capsys)
+            assert code == 2, (text, source)
+            assert out == ""
+            assert err.startswith(f"error: {error}") and err.count("\n") == 1, (text, source)
 
 
 def test_vector_entry_past_the_int_digit_limit_exits_2(tmp_path, capsys):

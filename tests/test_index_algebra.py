@@ -107,10 +107,13 @@ def test_dimlist_validation():
     lambda: flatten(DimList((2, 3)), (2.9, 1)),
     lambda: unflatten(DimList((2, 3)), 2.5),
     lambda: matrix_core.elementary((2.5, 2), 1, 1),
+    lambda: matrix_core.elementary(2.5, 1, 1),
+    lambda: matrix_core.elementary(3, 1.5, 1),
+    lambda: matrix_core.elementary_kron_index(2, 2, 1.5, 1, 1, 1),
 ], ids=["DimList", "Sigma", "TensorPermSpec", "closure_check", "flatten", "unflatten",
-        "elementary"])
+        "elementary", "elementary-side", "elementary-index", "elementary_kron_index"])
 def test_non_integer_dimensions_and_indices_are_refused(call):
-    # each of these used to truncate its floats and go on
+    # each of these used to truncate its floats and go on, or fail in numpy indexing
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
 
@@ -121,6 +124,10 @@ def test_numpy_integers_pass_as_dimensions_and_indices():
     assert Sigma(np.array([2, 1])).mapping == (2, 1)
     assert flatten(dims, np.array([2, 1])) == 4
     assert unflatten(dims, np.uint8(5)) == (2, 2)
+    assert np.array_equal(matrix_core.elementary(np.int64(3), np.int32(2), 1),
+                          matrix_core.elementary(3, 2, 1))
+    got = matrix_core.elementary_kron_index(np.int64(2), 2, np.uint8(2), 1, 1, 1)
+    assert got == (3, 1) and all(type(x) is int for x in got)
 
 
 def test_sigma_inverse_matches_exhaustive_search():
