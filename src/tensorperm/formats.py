@@ -104,8 +104,6 @@ def parse_matrix_market(text: str) -> np.ndarray:
     if size is None:
         raise ValueError(f"bad size line: {body[0]!r}")
     rows, cols, nnz = map(int, size.groups())
-    if rows < 1 or cols < 1:
-        raise ValueError(f"bad size line: {body[0]!r}")
     _check_capacity(max(rows, cols), DEFAULT_DENSE_BOUND)
     if len(body) - 1 != nnz:
         raise ValueError(f"expected {nnz} coordinate lines, found {len(body) - 1}")
@@ -151,15 +149,15 @@ def write_perm(perm: IndexPerm) -> str:
 
 
 def parse_perm(text: str) -> IndexPerm:
-    """Inverse of :func:`write_perm`: a positive size N, then N columns that
+    """Inverse of :func:`write_perm`: a size N >= 0, then N columns that
     form a permutation of 1..N, all ASCII decimal digits separated by ASCII
     whitespace."""
     toks = text.split()
     if not toks:
         raise ValueError("empty permutation text")
     n = parse_int(toks[0])
-    if n < 1:
-        raise ValueError(f"permutation size must be positive, got {n}")
+    if n < 0:
+        raise ValueError(f"permutation size must not be negative, got {n}")
     if len(toks) - 1 != n:
         raise ValueError(f"expected {n} entries, found {len(toks) - 1}")
     if not _PERM_TEXT.fullmatch(text):

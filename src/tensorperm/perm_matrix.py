@@ -250,78 +250,57 @@ def commutation_conjugation_check(spec: TensorPermSpec, matrices,
     return exact or bool(np.max(worst) <= 4 * len(mats) * np.finfo(np.float64).eps * np.max(scale))
 
 
-def _row_ones(m: np.ndarray, nonzero: int) -> np.ndarray | None:
-    """Column of each row's 1 in a square matrix whose only nonzero entries
-    are one 1 per row; None for any other square matrix.
-
-    Each row's largest entry must be a 1; with those N ones in place, a count
-    of N nonzero entries (``nonzero``, counted by the caller) leaves room for
-    no other, so no entry needs testing against the set {0, 1}. The count is
-    tested first, so a matrix with any other count is refused without the
-    ``argmax`` pass.
-    """
-    n = m.shape[0]
-    if nonzero != n:
-        return None
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
-    cols = m.argmax(axis=1)
-    if not (m[np.arange(n), cols] == 1).all():
-        return None
-    return cols
-
-
 def is_permutation_matrix(m) -> bool:
-    """Square 0/1 matrix with exactly one 1 per row and per column."""
+    """Square 0/1 matrix with exactly one 1 per row and per column.
+
+    Two passes over ``m``: a count of its nonzero entries, which must be N,
+    then each row's ``argmax``, whose entry must be a 1. Those N ones in N
+    rows leave room for no other nonzero entry, so no entry is tested
+    against the set {0, 1}; their columns must then hit every column.
+    """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or np.count_nonzero(m) != m.shape[0]:
         return False
-    cols = _row_ones(m, np.count_nonzero(m))
-    if cols is None:
-        return False
-    hit = np.zeros(m.shape[0], dtype=bool)
+    if m.size == 0:
+        return True
+    cols = m.argmax(axis=1)
+    hit = np.zeros(len(cols), dtype=bool)
     hit[cols] = True
-    return bool(hit.all())
+    return bool((m[np.arange(len(cols)), cols] == 1).all() and hit.all())
 
 
 def classify_tcm(m) -> list[TcmLabel]:
     """Every label (n, p) whose swap matrix equals ``m``; empty if none.
 
-    The input must be a square 0/1 matrix. A matrix with one 1 per row and
-    nothing else takes two passes, a nonzero count and each row's
-    ``argmax``; any other matrix takes one more, a count of its entries
-    equal to 1, which tells a 0/1 matrix (no label) from one that raises.
+    The input must be a square 0/1 matrix. U[n(x)p] sends row i*n + j
+    (i < p, j < n) to column j*p + i, so for n >= 2 row 1 holds its 1 in
+    column p, and for n = 1 or p = 1 the swap is the identity. The column q
+    of row 1's largest entry thus names the one candidate: U[(N/q)(x)q] when
+    q divides N, the identity U[N(x)1] when q = 1, and none otherwise.
 
-    U[n(x)p] sends row i*n + j (i < p, j < n) to column j*p + i, so for
-    n >= 2 row 1 holds its 1 in column p, and for n = 1 or p = 1 the swap is
-    the identity. The column q of row 1 thus names the one candidate:
-    U[(N/q)(x)q] when q divides N, the identity U[N(x)1] when q = 1, and
-    none otherwise. Only that candidate's index is taken from
-    :func:`induced_index_perm` and compared.
+    A matrix with N nonzero entries, counted in one pass, is that candidate
+    exactly when the N entries at the candidate's positions, taken from
+    :func:`induced_index_perm`, are all 1: they leave room for no other. Any
+    matrix that gets no label takes one more pass, a count of its entries
+    equal to 1, which tells a 0/1 matrix (no label) from one that raises.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("classification needs a square matrix")
+    order = m.shape[0]
     nonzero = np.count_nonzero(m)
-    cols = _row_ones(m, nonzero)
-    if cols is None:
-        if np.count_nonzero(m == 1) != nonzero:
-            raise ValueError("classification needs a 0/1 matrix")
-        return []
-    # N ones in distinct rows and N nonzero entries in all: m is 0/1, with
-    # one 1 per row, and is fixed by the column of each row's 1
-    order = len(cols)
-    if order == 0:
-        return []
-    q = int(cols[1]) if order > 1 else 1
-    if q == 0 or order % q:
-        return []
-    n = order // q
-    if not np.array_equal(cols, induced_index_perm(DimList((n, q)), Sigma((2, 1))).index):
-        return []
-    # the identity, U[N(x)1], is also U[1(x)N]
-    pairs = {(n, q), (q, n)} if q == 1 else {(n, q)}
-    return [TcmLabel(a, b) for a, b in sorted(pairs)]
+    if order and nonzero == order:
+        q = int(m[1].argmax()) if order > 1 else 1
+        if q and order % q == 0:
+            n = order // q
+            cols = induced_index_perm(DimList((n, q)), Sigma((2, 1))).index
+            if (m[np.arange(order), cols] == 1).all():
+                # the identity, U[N(x)1], is also U[1(x)N]
+                pairs = {(n, q), (q, n)} if q == 1 else {(n, q)}
+                return [TcmLabel(a, b) for a, b in sorted(pairs)]
+    if np.count_nonzero(m == 1) != nonzero:
+        raise ValueError("classification needs a 0/1 matrix")
+    return []
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from tensorperm import (
     unflatten,
 )
 from tensorperm.formats import _fmt_float
-from tensorperm.index_algebra import _factor_axes
 from tensorperm.matrix_core import _check_capacity, domain_of
 
 
@@ -268,7 +267,12 @@ def whole_conjugation_check(spec, matrices, dense_bound=DEFAULT_DENSE_BOUND):
     kron_within_bound = partial(kron, dense_bound=dense_bound)
     forward = reduce(kron_within_bound, mats)
     permuted = reduce(kron_within_bound, [mats[s - 1] for s in spec.sigma.mapping])
-    shape, axes = _factor_axes(dims, spec.sigma.mapping)
+    # one row and one column axis per factor of size > 1, each group reordered
+    # by sigma: a size-1 axis moves nothing, and with it 2k axes could pass
+    # numpy's limit of 64
+    kept = [t for t, d in enumerate(dims) if d > 1]
+    shape = tuple(dims[t] for t in kept)
+    axes = [kept.index(s - 1) for s in spec.sigma.mapping if dims[s - 1] > 1]
     out_shape = tuple(shape[a] for a in axes)
     conjugated = forward.reshape(shape + shape).transpose(axes + [a + len(shape) for a in axes])
     if not np.iscomplexobj(permuted):

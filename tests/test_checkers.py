@@ -138,6 +138,44 @@ def test_classify_refuses_an_entry_other_than_0_or_1_whatever_else_fails(rows):
         classify_tcm(np.array(rows, dtype=np.int64))
 
 
+_CANDIDATE_DTYPES = [np.int64, np.float64, np.complex128, np.bool_]
+_SWAP_4X3 = induced_index_perm(DimList((4, 3)), Sigma((2, 1))).index  # row 1's 1 in column 3
+
+
+@pytest.mark.parametrize("dtype", _CANDIDATE_DTYPES)
+def test_classify_labels_a_swap_in_every_dtype(dtype):
+    assert classify_tcm(_perm_dense(_SWAP_4X3).astype(dtype)) == [TcmLabel(4, 3)]
+
+
+@pytest.mark.parametrize("dtype", [d for d in _CANDIDATE_DTYPES if d is not np.bool_])
+@pytest.mark.parametrize("row", [0, 1, 11])
+def test_classify_refuses_a_2_at_a_candidate_position(dtype, row):
+    # still 12 nonzero entries, row 1's largest still in column 3
+    m = _perm_dense(_SWAP_4X3).astype(dtype)
+    m[row, _SWAP_4X3[row]] = 2
+    with pytest.raises(ValueError, match="^classification needs a 0/1 matrix$"):
+        classify_tcm(m)
+
+
+@pytest.mark.parametrize("dtype", _CANDIDATE_DTYPES)
+def test_classify_gives_no_label_when_row_1_is_empty(dtype):
+    # 12 nonzero entries, two of them in row 0, none in row 1
+    m = _perm_dense(_SWAP_4X3).astype(dtype)
+    m[1, _SWAP_4X3[1]] = 0
+    m[0, 1] = 1
+    assert classify_tcm(m) == []
+
+
+@pytest.mark.parametrize("dtype", _CANDIDATE_DTYPES)
+def test_classify_gives_no_label_when_only_the_last_row_misses(dtype):
+    # one 1 per row, at U[4x3]'s position in every row but the last, so
+    # only the last of the candidate's entries is a 0
+    cols = _SWAP_4X3.copy()
+    cols[-1] = 0
+    m = _perm_dense(cols).astype(dtype)
+    assert classify_tcm(m) == []
+
+
 @pytest.mark.parametrize("extra", [1, -1])
 def test_is_permutation_matrix_refuses_one_nonzero_too_many(extra):
     m = np.eye(3, dtype=np.int64)

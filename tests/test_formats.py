@@ -17,6 +17,7 @@ from tensorperm import (
 )
 from tensorperm import formats
 from tensorperm.formats import (
+    MM_HEADER,
     parse_matrix_market,
     parse_perm,
     write_blocks,
@@ -73,6 +74,9 @@ def test_matrix_market_parser_errors():
         parse_matrix_market("%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 1\n")
     with pytest.raises(ValueError, match="out of range"):
         parse_matrix_market("%%MatrixMarket matrix coordinate integer general\n2 2 1\n3 1 1\n")
+    for size in ("-1 2 0", "2 -1 0", "2 2", "2 x 0"):
+        with pytest.raises(ValueError, match="bad size line"):
+            parse_matrix_market(f"%%MatrixMarket matrix coordinate integer general\n{size}\n")
 
 
 def test_perm_format_round_trip():
@@ -156,10 +160,27 @@ def test_perm_round_trip_via_index_perm():
     assert parse_perm(write_perm(perm)) == perm
 
 
-@pytest.mark.parametrize("text", ["0", "0\n", "-2\n"])
+@pytest.mark.parametrize("text", ["-2\n"])
 def test_perm_parser_rejects_nonpositive_size(text):
-    with pytest.raises(ValueError, match="size must be positive"):
+    with pytest.raises(ValueError, match="^permutation size must not be negative, got -2$"):
         parse_perm(text)
+
+
+@pytest.mark.parametrize("text", ["0", "0\n", "0\n\n"])
+def test_perm_parser_accepts_size_zero(text):
+    # "0\n\n" is what write_perm emits for the order-0 permutation
+    perm = parse_perm(text)
+    assert perm == IndexPerm([])
+    assert write_perm(perm) == "0\n\n"
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0)], ids=["0x0", "0x3", "2x0"])
+def test_matrix_market_round_trips_an_empty_shape(shape):
+    text = write_matrix_market(np.zeros(shape, dtype=np.int64))
+    assert text == f"{MM_HEADER}\n{shape[0]} {shape[1]} 0\n"
+    m = parse_matrix_market(text)
+    assert m.shape == shape and m.dtype == np.int64
+    assert write_matrix_market(m) == text
 
 
 @pytest.mark.parametrize("text", ["3\n0 1 2\n", "3\n1 2 4\n", "3\n1 1 2\n",
@@ -243,7 +264,7 @@ def _edited(draw, text):
 
 
 _perm_texts = st.one_of(
-    st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))
+    st.integers(0, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))
     .map(lambda cols: write_perm(IndexPerm(cols))).flatmap(_edited),
     st.lists(st.integers(-1, 2**70), min_size=1, max_size=4).map(
         lambda cols: f"{len(cols)}\n" + " ".join(map(str, cols)) + "\n"
@@ -252,7 +273,7 @@ _perm_texts = st.one_of(
     st.text(max_size=30),
 )
 
-_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1)).map(
+_matrices = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2**32 - 1)).map(
     lambda args: np.random.default_rng(args[2]).choice(
         np.array([0, 0, 1, -1, 7, -(2**63), 2**63 - 1], dtype=np.int64), size=args[:2]
     )
@@ -290,7 +311,7 @@ def test_fuzz_matrix_market_text(text):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1))), _matrices)
+@given(st.integers(0, 9).flatmap(lambda n: st.permutations(range(1, n + 1))), _matrices)
 def test_writer_text_round_trips(cols, m):
     text = write_perm(IndexPerm(cols))
     assert write_perm(parse_perm(text)) == text
