@@ -11,9 +11,11 @@ linear indices {1, ..., N}; that induced permutation *is* the tensor
 permutation matrix in implicit form, stored one column index per row.
 
 Reordering factors is a tensor transposition: a length-N array read with
-one axis per factor, those axes reordered by sigma, and read back in row
-order. ``perm_matrix.apply`` permutes a numpy array that way, in one strided
-copy with no index array. :class:`IndexPerm` holds the permutation as one
+one axis per factor of size > 1, those axes reordered by sigma, and read
+back in row order. :func:`_permute_factors` works out that shape and axis
+order in two plain loops and copies the transposed view once into a fresh
+base-class ``ndarray``; ``perm_matrix.apply`` permutes a numpy array that
+way, with no index array. :class:`IndexPerm` holds the permutation as one
 read-only 0-based ``np.intp`` array, and :func:`induced_index_perm` builds
 that array by the same transposition of ``arange(N)``, for what needs the
 index itself: ``apply`` on lists and tuples, the checkers, the dense
@@ -22,9 +24,10 @@ constructions and the ``perm`` text format. Orders up to 2**20 are cached by
 at most 256 MiB of index arrays. Orders above :data:`IMPLICIT_BOUND` raise
 :class:`CapacityError` before anything is allocated.
 
-Only what enters from outside is checked: ``IndexPerm(col_of_row)``, and
-through it ``formats.parse_perm`` and unpickling, checks in O(N) that the
-columns form a permutation. The transposition, ``inverse`` and ``compose``
+:class:`DimList` and :class:`Sigma` read and check their entries once, in
+``__init__``. Of index permutations, only what enters from outside is
+checked: ``IndexPerm(col_of_row)``, and through it ``formats.parse_perm``
+and unpickling, checks in O(N) that the columns form a permutation. The transposition, ``inverse`` and ``compose``
 yield permutations by construction and are trusted. Conversion to 1-based
 indices happens only at the API and format boundaries. The per-index
 :func:`flatten` and :func:`unflatten` stay independent of that core, so
@@ -37,7 +40,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,20 +65,20 @@ IMPLICIT_BOUND = 2**27
 _CACHED_ORDER = 2**20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DimList:
     """Ordered factor dimensions (n1, ..., nk) of a tensor-product space."""
 
     dims: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        dims = tuple(map(operator.index, self.dims))
-        object.__setattr__(self, "dims", dims)
+    def __init__(self, dims: Iterable[int]) -> None:
+        dims = tuple(map(operator.index, dims))
         if not dims:
             raise ValueError("dimension list must contain at least one factor")
         for t, n in enumerate(dims, start=1):
             if n < 1:
                 raise ValueError(f"factor {t} must be a positive dimension, got {n}")
+        object.__setattr__(self, "dims", dims)
 
     @property
     def size(self) -> int:
@@ -97,7 +100,7 @@ class DimList:
         return DimList(tuple(self.dims[s - 1] for s in sigma.mapping))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sigma:
     """A permutation of the factor positions {1, ..., k}, stored as the image list.
 
@@ -107,12 +110,12 @@ class Sigma:
 
     mapping: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        mapping = tuple(map(operator.index, self.mapping))
-        object.__setattr__(self, "mapping", mapping)
+    def __init__(self, mapping: Iterable[int]) -> None:
+        mapping = tuple(map(operator.index, mapping))
         k = len(mapping)
         if sorted(mapping) != list(range(1, k + 1)):
             raise ValueError(f"sigma is not a permutation of 1..{k}: {mapping}")
+        object.__setattr__(self, "mapping", mapping)
 
     @classmethod
     def identity(cls, k: int) -> "Sigma":
@@ -137,10 +140,11 @@ class Sigma:
         return Sigma(tuple(self.mapping[v - 1] for v in other.mapping))
 
 
-def _check_arity(dims, sigma) -> None:
+def _check_arity(dims: DimList, sigma: Sigma) -> None:
     """Refuse a sigma whose length is not the number of factors."""
-    if len(sigma) != len(dims):
-        raise ValueError(f"sigma has {len(sigma)} positions but there are {len(dims)} factors")
+    if len(sigma.mapping) != len(dims.dims):
+        raise ValueError(
+            f"sigma has {len(sigma.mapping)} positions but there are {len(dims.dims)} factors")
 
 
 def flatten(dims: DimList, parts: Sequence[int]) -> int:
@@ -296,35 +300,31 @@ class IndexPerm:
         return IndexPerm._from_index(other._index[self._index])
 
 
-def _factor_axes(dims: tuple[int, ...], mapping: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-    """The factor dimensions without their size-1 factors, and the axis order
-    that moves axis sigma(t) to position t on that shape.
-
-    A size-1 factor moves no index, so dropping it leaves the transposition
-    unchanged; every kept factor is at least 2, so at most log2(N) axes
-    remain, well inside numpy's limit on the number of axes.
-    """
-    axis_of = {}
-    for t, n in enumerate(dims):
-        if n > 1:
-            axis_of[t] = len(axis_of)
-    return tuple(dims[t] for t in axis_of), [axis_of[s - 1] for s in mapping if s - 1 in axis_of]
-
-
 def _permute_factors(a: np.ndarray, dims: tuple[int, ...], mapping: tuple[int, ...]) -> np.ndarray:
     """A fresh C-ordered copy of ``a`` whose leading axis, read as one axis
     per factor, has those axes reordered by sigma; trailing axes are kept.
 
     Entry i of the result is entry j of ``a`` with j_sigma(t) = i_t, so this
     applies the induced permutation in one strided copy, with no index array.
+    A size-1 factor moves no index, so it gets no axis: every kept axis is at
+    least 2, so at most log2(N) remain, well inside numpy's limit on the
+    number of axes. ``axis_of[t]`` is factor t's axis, and the axes are taken
+    in sigma's order. The copy is a base-class ``ndarray`` of ``a``'s dtype
+    even when ``a`` is a subclass, such as a memmap or a masked array.
     """
-    shape, axes = _factor_axes(dims, mapping)
+    axis_of, shape = [], []
+    for n in dims:
+        axis_of.append(len(shape))
+        if n > 1:
+            shape.append(n)
+    axes = []
+    for s in mapping:
+        if dims[s - 1] > 1:
+            axes.append(axis_of[s - 1])
     rest = a.shape[1:]
-    k = len(shape)
-    moved = a.reshape(shape + rest).transpose(axes + list(range(k, k + len(rest))))
-    out = np.empty(a.shape, a.dtype)
-    np.copyto(out.reshape(moved.shape), moved)
-    return out
+    axes.extend(range(len(shape), len(shape) + len(rest)))
+    view = a.reshape(tuple(shape) + rest).transpose(axes)
+    return np.array(view, order="C").reshape(a.shape)
 
 
 def _induced_index(dims: tuple[int, ...], mapping: tuple[int, ...]) -> np.ndarray:

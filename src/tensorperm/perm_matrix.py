@@ -26,6 +26,8 @@ Three constructions are provided and must agree:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from typing import Iterable
 
 import numpy as np
 
@@ -50,19 +52,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TensorPermSpec:
-    """Factor dimensions plus the permutation acting on factor positions."""
+    """Factor dimensions plus the permutation acting on factor positions.
+
+    A :class:`DimList` or :class:`Sigma` is kept as given; anything else is
+    read into one. Errors come in that order: dims, sigma, then their arity.
+    """
 
     dims: DimList
     sigma: Sigma
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.dims, DimList):
-            object.__setattr__(self, "dims", DimList(tuple(self.dims)))
-        if not isinstance(self.sigma, Sigma):
-            object.__setattr__(self, "sigma", Sigma(tuple(self.sigma)))
-        _check_arity(self.dims, self.sigma)
+    def __init__(self, dims: DimList | Iterable[int], sigma: Sigma | Iterable[int]) -> None:
+        if not isinstance(dims, DimList):
+            dims = DimList(dims)
+        if not isinstance(sigma, Sigma):
+            sigma = Sigma(sigma)
+        _check_arity(dims, sigma)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "sigma", sigma)
 
     @property
     def size(self) -> int:
@@ -173,8 +181,9 @@ def apply(spec: TensorPermSpec, v):
     trailing axes are kept. Lists and tuples come back as lists of the
     original entries, gathered through the index permutation.
     """
-    _check_implicit(spec.size)
-    _check_length(v, spec.size)
+    n = prod(spec.dims.dims)
+    _check_implicit(n)
+    _check_length(v, n)
     if isinstance(v, np.ndarray):
         return _permute_factors(v, spec.dims.dims, spec.sigma.mapping)
     return induced_index_perm(spec.dims, spec.sigma).apply(v)

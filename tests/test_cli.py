@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorperm
-from tensorperm import build_delta, cli, index_algebra, tcm_spec
+from tensorperm import build_delta, cli, index_algebra, perm_matrix, tcm_spec
 from tensorperm.cli import main
 from tensorperm.formats import format_scalar, parse_matrix_market
 
@@ -230,6 +230,43 @@ def test_verify_fails_the_conjugation_under_a_wrong_index(monkeypatch, capsys):
         index_algebra._cached_perm.cache_clear()
     assert code == 1
     assert "FAIL matrix-conjugation" in out.splitlines()
+
+
+def test_verify_fails_the_duality_under_a_transposed_index(monkeypatch, capsys):
+    # every induced index replaced by its inverse: U^T in place of U
+    right = index_algebra._induced_index
+
+    def transposed(dims, mapping):
+        index = right(dims, mapping)
+        inverse = np.empty_like(index)
+        inverse[index] = np.arange(index.size)
+        return inverse
+
+    monkeypatch.setattr(index_algebra, "_induced_index", transposed)
+    index_algebra._cached_perm.cache_clear()  # monkeypatch leaves the lru cache alone
+    try:
+        code, out, err = run_cli(["verify", "--dims", "3,4,2", "--sigma", "2,3,1"], capsys)
+    finally:
+        monkeypatch.undo()
+        index_algebra._cached_perm.cache_clear()
+    assert (code, err) == (1, "")
+    assert "FAIL transpose-duality" in out.splitlines()
+
+
+def test_verify_fails_the_agreement_when_the_stride_walk_is_wrong(monkeypatch, capsys):
+    # the walk's last two rows swapped: build_stride_rule raises RuntimeError
+    right = perm_matrix._stride_positions_walk
+    monkeypatch.setattr(perm_matrix, "_stride_positions_walk",
+                        lambda n, p: right(n, p)[:-2] + right(n, p)[:-3:-1])
+    code, out, err = run_cli(["verify", "--dims", "3,2"], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "FAIL constructor-agreement",
+        "PASS vector-relocation",
+        "PASS matrix-conjugation",
+        "PASS transpose-duality",
+        "PASS permutation-shape",
+    ]
 
 
 def test_classify_order_12(capsys):

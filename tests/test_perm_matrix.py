@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -335,3 +337,53 @@ def test_spec_validation():
     assert isinstance(spec.dims, DimList)
     assert isinstance(spec.sigma, Sigma)
     assert spec.size == 6
+
+
+def test_spec_types_construct_compare_and_refuse_alike_from_every_input_form():
+    forms = [
+        TensorPermSpec((3, 2, 4), (2, 3, 1)),
+        TensorPermSpec(dims=[3, 2, 4], sigma=[2, 3, 1]),
+        TensorPermSpec(np.array([3, 2, 4]), (np.int64(2), np.int32(3), np.uint8(1))),
+        TensorPermSpec((d for d in (3, 2, 4)), (s for s in (2, 3, 1))),
+        TensorPermSpec(DimList(dims=iter([3, 2, 4])), Sigma(mapping=np.array([2, 3, 1]))),
+    ]
+    for spec in forms:
+        assert spec == forms[0] and hash(spec) == hash(forms[0])
+        assert spec.dims.dims == (3, 2, 4) and spec.sigma.mapping == (2, 3, 1)
+        assert all(type(x) is int for x in spec.dims.dims + spec.sigma.mapping)
+    assert repr(forms[0]) == ("TensorPermSpec(dims=DimList(dims=(3, 2, 4)), "
+                              "sigma=Sigma(mapping=(2, 3, 1)))")
+    dims, sigma = DimList((3, 2)), Sigma((2, 1))
+    spec = TensorPermSpec(dims, sigma)
+    assert spec.dims is dims and spec.sigma is sigma
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert pickle.loads(pickle.dumps(dims)) == dims
+    assert dataclasses.replace(spec, dims=(2, 3)) == TensorPermSpec((2, 3), (2, 1))
+    assert dataclasses.replace(dims, dims=[4]) == DimList((4,))
+    assert dataclasses.replace(sigma, mapping=(1, 2)) == Sigma.identity(2)
+    for obj, field in [(spec, "dims"), (dims, "dims"), (sigma, "mapping")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DimList(()), "dimension list must contain at least one factor"),
+    (lambda: DimList((3, 0)), "factor 2 must be a positive dimension, got 0"),
+    (lambda: Sigma((1, 1)), "sigma is not a permutation of 1..2: (1, 1)"),
+    (lambda: Sigma(()), None),
+    (lambda: TensorPermSpec((3, 2), (1, 2, 3)), "sigma has 3 positions but there are 2 factors"),
+    # dims are read first, then sigma, then the two are matched
+    (lambda: TensorPermSpec((3, -1), (1, 1, 1)), "factor 2 must be a positive dimension, got -1"),
+    (lambda: TensorPermSpec((3, 2), (2, 2, 2)), "sigma is not a permutation of 1..3: (2, 2, 2)"),
+    (lambda: TensorPermSpec([], ()), "dimension list must contain at least one factor"),
+    (lambda: TensorPermSpec((3,), ()), "sigma has 0 positions but there are 1 factors"),
+    (lambda: dataclasses.replace(tcm_spec(3, 2), dims=(3, 2, 1)),
+     "sigma has 2 positions but there are 3 factors"),
+])
+def test_spec_type_errors_keep_their_messages_and_order(call, message):
+    if message is None:  # the empty permutation is a permutation
+        assert call().mapping == ()
+        return
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
