@@ -15,6 +15,7 @@ import argparse
 import sys
 import time
 from functools import cache, partial, reduce
+from math import isqrt
 
 import numpy as np
 
@@ -154,14 +155,15 @@ def _cmd_classify(args) -> int:
     _check_capacity(order, args.dense_bound)
     _check_implicit(order)  # the bound on every swap's index permutation
     # U[1(x)N] = U[N(x)1] is the identity; for n, p >= 2, U[n(x)p] holds row
-    # 1's 1 in column p, so no other two swaps of one order coincide
-    for n in range(1, order + 1):
-        if order % n == 0:
-            p = order // n
-            if n == 1 or p == 1:
-                print(f"{n}x{p} identity" + (f" = {p}x{n}" if order > 1 else ""))
-            else:
-                print(f"{n}x{p}")
+    # 1's 1 in column p, so no other two swaps of one order coincide. The
+    # divisors n > sqrt(order) are the cofactors of those below, in reverse.
+    small = [n for n in range(1, isqrt(order) + 1) if order % n == 0]
+    for n in small + [order // n for n in reversed(small) if n * n != order]:
+        p = order // n
+        if n == 1 or p == 1:
+            print(f"{n}x{p} identity" + (f" = {p}x{n}" if order > 1 else ""))
+        else:
+            print(f"{n}x{p}")
     return 0
 
 

@@ -21,8 +21,11 @@ that array by the same transposition of ``arange(N)``, for what needs the
 index itself: ``apply`` on lists and tuples, the checkers, the dense
 constructions and the ``perm`` text format. Orders up to 2**20 are cached by
 (dims, sigma) with ``functools.lru_cache``, 32 at a time, so the cache holds
-at most 256 MiB of index arrays. Orders above :data:`IMPLICIT_BOUND` raise
-:class:`CapacityError` before anything is allocated.
+at most 256 MiB of index arrays. An index takes 8 bytes per entry, so
+building one above :data:`IMPLICIT_BOUND` entries raises
+:class:`CapacityError` before anything is allocated; the transposed copy of
+a numpy array needs no index, and its only bound is the memory for its
+output.
 
 :class:`DimList` and :class:`Sigma` read and check their entries once, in
 ``__init__``. Of index permutations, only what enters from outside is
@@ -309,8 +312,9 @@ def _permute_factors(a: np.ndarray, dims: tuple[int, ...], mapping: tuple[int, .
     A size-1 factor moves no index, so it gets no axis: every kept axis is at
     least 2, so at most log2(N) remain, well inside numpy's limit on the
     number of axes. ``axis_of[t]`` is factor t's axis, and the axes are taken
-    in sigma's order. The copy is a base-class ``ndarray`` of ``a``'s dtype
-    even when ``a`` is a subclass, such as a memmap or a masked array.
+    in sigma's order. ``a`` is read as a base-class ``ndarray``, so a
+    subclass such as a memmap, a masked array or an ``np.matrix``, which
+    stays 2-D through a reshape, gives a plain copy of its dtype.
     """
     axis_of, shape = [], []
     for n in dims:
@@ -323,7 +327,7 @@ def _permute_factors(a: np.ndarray, dims: tuple[int, ...], mapping: tuple[int, .
             axes.append(axis_of[s - 1])
     rest = a.shape[1:]
     axes.extend(range(len(shape), len(shape) + len(rest)))
-    view = a.reshape(tuple(shape) + rest).transpose(axes)
+    view = np.asarray(a).reshape(tuple(shape) + rest).transpose(axes)
     return np.array(view, order="C").reshape(a.shape)
 
 

@@ -31,8 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .index_algebra import (DimList, Sigma, _check_arity, _check_implicit, _check_length, _digits,
-                            _permute_factors, induced_index_perm)
+from .index_algebra import (DimList, Sigma, _check_arity, _check_length, _digits, _permute_factors,
+                            induced_index_perm)
 from .matrix_core import (DEFAULT_DENSE_BOUND, _check_capacity, _kron_block, _kron_operands,
                           domain_of)
 
@@ -176,13 +176,14 @@ def apply(spec: TensorPermSpec, v):
     """Permute a length-N vector in O(N) without materializing the matrix.
 
     For v = a1 (x) ... (x) ak the result is a_sigma(1) (x) ... (x) a_sigma(k).
-    A numpy array comes back as a fresh C-ordered array of its dtype, copied
-    once through the transposed view of its factor axes, with no index array;
-    trailing axes are kept. Lists and tuples come back as lists of the
-    original entries, gathered through the index permutation.
+    The length of v is checked first. A numpy array, of any order, comes back
+    as a fresh C-ordered base-class array of its dtype, copied once through
+    the transposed view of its factor axes, with no index array; trailing
+    axes are kept. Lists and tuples come back as lists of the original
+    entries, gathered through the index permutation, which raises
+    :class:`CapacityError` above ``IMPLICIT_BOUND`` entries before it is built.
     """
     n = prod(spec.dims.dims)
-    _check_implicit(n)
     _check_length(v, n)
     if isinstance(v, np.ndarray):
         return _permute_factors(v, spec.dims.dims, spec.sigma.mapping)
